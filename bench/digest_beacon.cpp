@@ -290,7 +290,7 @@ SurfaceResult MeasureSurfaces() {
     config.digest_beacon_every = 4;  // tight cadence: narrow conviction window
     BuildStack(server, config);
     auto app = std::make_unique<table::TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get(), table::TableKeyExtractor::Instance());
     applicators[server.id()] = std::move(app);
   });
 

@@ -41,7 +41,7 @@ int main() {
     BuildStack(server, config);
     auto app = std::make_unique<zelos::ZelosApplicator>();
     app->set_metrics(server.metrics());  // live zelos.open_sessions gauge
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get(), zelos::ZelosKeyExtractor::Instance());
     apps[server.id()] = std::move(app);
   });
   zelos::ZelosClient client(cluster.server(0).top(), apps["server0"].get());

@@ -69,7 +69,6 @@ int main() {
   {
     InMemoryBackupStore backup;
     std::map<std::string, std::unique_ptr<table::TableApplicator>> apps;
-    std::map<std::string, std::unique_ptr<ProfiledApplicator>> profiled;
     Cluster::Options options;
     options.num_servers = 1;
     Cluster cluster(options, [&](ClusterServer& server) {
@@ -77,10 +76,8 @@ int main() {
       config.backup_segment_size = 256;
       BuildStack(server, config);
       auto app = std::make_unique<table::TableApplicator>();
-      auto wrapper = std::make_unique<ProfiledApplicator>(app.get(), server.profiler());
-      server.top()->RegisterUpcall(wrapper.get());
+      server.RegisterApplicator(app.get(), table::TableKeyExtractor::Instance());
       apps[server.id()] = std::move(app);
-      profiled[server.id()] = std::move(wrapper);
     });
     table::TableClient client(cluster.server(0).top());
     table::TableSchema schema;
@@ -115,7 +112,6 @@ int main() {
   {
     InMemoryBackupStore backup;
     std::map<std::string, std::unique_ptr<zelos::ZelosApplicator>> apps;
-    std::map<std::string, std::unique_ptr<ProfiledApplicator>> profiled;
     Cluster::Options options;
     options.num_servers = 1;
     Cluster cluster(options, [&](ClusterServer& server) {
@@ -125,10 +121,8 @@ int main() {
       config.batch_max_delay_micros = 100;
       BuildStack(server, config);
       auto app = std::make_unique<zelos::ZelosApplicator>();
-      auto wrapper = std::make_unique<ProfiledApplicator>(app.get(), server.profiler());
-      server.top()->RegisterUpcall(wrapper.get());
+      server.RegisterApplicator(app.get(), zelos::ZelosKeyExtractor::Instance());
       apps[server.id()] = std::move(app);
-      profiled[server.id()] = std::move(wrapper);
     });
     zelos::ZelosApplicator* applicator = apps["server0"].get();
     zelos::ZelosClient client(cluster.server(0).top(), applicator);

@@ -39,7 +39,7 @@ struct FleetCluster {
     cluster = std::make_unique<Cluster>(options, [&](ClusterServer& server) {
       BuildStack(server, DelosTableStackConfig(nullptr));
       auto application = std::make_unique<TableApplicator>();
-      server.top()->RegisterUpcall(application.get());
+      server.RegisterApplicator(application.get(), TableKeyExtractor::Instance());
       app = std::move(application);
     });
     client = std::make_unique<TableClient>(cluster->server(0).top());

@@ -167,7 +167,7 @@ ProposeResult MeasureProposePath() {
     BuildStack(server, config);
     app = std::make_unique<zelos::ZelosApplicator>();
     app->set_metrics(server.metrics());
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get(), zelos::ZelosKeyExtractor::Instance());
   });
   ClusterServer& server = cluster.server(0);
 

@@ -31,7 +31,7 @@ int main() {
     config.lease_guard_epsilon_micros = 50'000;
     BuildStack(server, config);
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get(), TableKeyExtractor::Instance());
     applicators[server.id()] = std::move(app);
   });
   // The client's "home region" server.

@@ -28,7 +28,7 @@ int main() {
     config.backup_segment_size = 8;
     BuildStack(server, config);
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get(), TableKeyExtractor::Instance());
     applicators[server.id()] = std::move(app);
   });
 
@@ -123,7 +123,7 @@ int main() {
     time_options.start_enabled = false;
     server.AddEngine<TimeEngine>(time_options);
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get(), TableKeyExtractor::Instance());
     apps2[server.id()] = std::move(app);
   });
   auto* time_engine = dynamic_cast<TimeEngine*>(cluster2.server(0).FindEngine("time"));

@@ -26,7 +26,7 @@ struct QueueCluster {
     cluster = std::make_unique<Cluster>(options, [&](ClusterServer& server) {
       BuildStack(server, DelosTableStackConfig(nullptr));
       auto app = std::make_unique<delosq::QueueApplicator>();
-      server.top()->RegisterUpcall(app.get());
+      server.RegisterApplicator(app.get(), delosq::QueueKeyExtractor::Instance());
       applicators[server.id()] = std::move(app);
     });
   }
@@ -87,7 +87,7 @@ int main() {
   Cluster lock_cluster(lock_options, [&](ClusterServer& server) {
     BuildStack(server, DelosTableStackConfig(nullptr));
     auto app = std::make_unique<locks::LockApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get(), locks::LockKeyExtractor::Instance());
     lock_apps[server.id()] = std::move(app);
   });
   locks::LockClient alice(lock_cluster.server(0).top(), lock_apps["server0"].get());

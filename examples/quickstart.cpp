@@ -22,7 +22,7 @@ int main() {
   Cluster cluster(options, [&](ClusterServer& server) {
     BuildStack(server, DelosTableStackConfig(/*backup_store=*/nullptr));
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get(), TableKeyExtractor::Instance());
     applicators[server.id()] = std::move(app);
   });
 

@@ -35,7 +35,7 @@ int main() {
   Cluster cluster(options, [&](ClusterServer& server) {
     BuildStack(server, DelosTableStackConfig(nullptr));
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get(), TableKeyExtractor::Instance());
     applicators[server.id()] = std::move(app);
   });
 

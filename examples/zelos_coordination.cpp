@@ -37,7 +37,7 @@ int main() {
   Cluster cluster(options, [&](ClusterServer& server) {
     BuildStack(server, ZelosStackConfig(/*backup_store=*/nullptr));
     auto app = std::make_unique<ZelosApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get(), ZelosKeyExtractor::Instance());
     applicators[server.id()] = std::move(app);
   });
 

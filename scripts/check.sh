@@ -45,78 +45,38 @@ run_suite() {
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
 }
 
-if [[ "${1:-}" == "--sim" ]]; then
-  SEED_COUNT="${2:-200}"
-  if ! [[ "$SEED_COUNT" =~ ^[0-9]+$ && "$SEED_COUNT" -gt 0 ]]; then
-    echo "check.sh: --sim expects a positive schedule count, got '${2:-}'" >&2
-    exit 2
+# Label suites, one row each: flag -> "ctest label | count env var | default
+# count | count noun | banner | name". A suite with a count env var takes an
+# optional positive count argument (printed where the banner says %s).
+declare -A SUITES=(
+  [--sim]="sim|DELOS_SIM_SCHEDULES|200|schedule|simulation suite (%s randomized schedules)|simulation suite"
+  [--obs]="obs||||observability suite (tracing + flight recorder)|observability suite"
+  [--health]="health||||health-plane suite (time-series metrics + watchdogs + admin endpoint)|health-plane suite"
+  [--readpath]="readpath||||read-path suite (entry cache + prefetcher + tail memoization)|read-path suite"
+  [--verify]="verify|DELOS_VERIFY_SCHEDULES|24|seed|verification suite (linearizability audit, %s-seed fault sweep)|verification suite"
+  [--workload]="workload||||workload-attribution suite (streaming sketches + replay identity)|workload-attribution suite"
+  [--digest]="digest||||divergence-detection suite (digest beacons + sabotage conviction sweep)|divergence-detection suite"
+)
+
+FLAG="${1:-}"
+if [[ -n "$FLAG" && -n "${SUITES[$FLAG]+x}" ]]; then
+  IFS='|' read -r label count_var default_count noun banner name <<<"${SUITES[$FLAG]}"
+  suite_env=()
+  if [[ -n "$count_var" ]]; then
+    count="${2:-$default_count}"
+    if ! [[ "$count" =~ ^[0-9]+$ && "$count" -gt 0 ]]; then
+      echo "check.sh: $FLAG expects a positive $noun count, got '${2:-}'" >&2
+      exit 2
+    fi
+    suite_env=("$count_var=$count")
+    banner="${banner/\%s/$count}"
   fi
-  echo "== simulation suite (${SEED_COUNT} randomized schedules) =="
+  echo "== $banner =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$JOBS"
-  DELOS_SIM_SCHEDULES="$SEED_COUNT" \
-    ctest --test-dir build -L sim --output-on-failure -j "$JOBS"
-  echo "check.sh: simulation suite passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--obs" ]]; then
-  echo "== observability suite (tracing + flight recorder) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS"
-  ctest --test-dir build -L obs --output-on-failure -j "$JOBS"
-  echo "check.sh: observability suite passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--health" ]]; then
-  echo "== health-plane suite (time-series metrics + watchdogs + admin endpoint) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS"
-  ctest --test-dir build -L health --output-on-failure -j "$JOBS"
-  echo "check.sh: health-plane suite passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--readpath" ]]; then
-  echo "== read-path suite (entry cache + prefetcher + tail memoization) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS"
-  ctest --test-dir build -L readpath --output-on-failure -j "$JOBS"
-  echo "check.sh: read-path suite passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--verify" ]]; then
-  SEED_COUNT="${2:-24}"
-  if ! [[ "$SEED_COUNT" =~ ^[0-9]+$ && "$SEED_COUNT" -gt 0 ]]; then
-    echo "check.sh: --verify expects a positive seed count, got '${2:-}'" >&2
-    exit 2
-  fi
-  echo "== verification suite (linearizability audit, ${SEED_COUNT}-seed fault sweep) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS"
-  DELOS_VERIFY_SCHEDULES="$SEED_COUNT" \
-    ctest --test-dir build -L verify --output-on-failure -j "$JOBS"
-  echo "check.sh: verification suite passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--workload" ]]; then
-  echo "== workload-attribution suite (streaming sketches + replay identity) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS"
-  ctest --test-dir build -L workload --output-on-failure -j "$JOBS"
-  echo "check.sh: workload-attribution suite passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--digest" ]]; then
-  echo "== divergence-detection suite (digest beacons + sabotage conviction sweep) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS"
-  ctest --test-dir build -L digest --output-on-failure -j "$JOBS"
-  echo "check.sh: divergence-detection suite passed"
+  env ${suite_env[@]+"${suite_env[@]}"} \
+    ctest --test-dir build -L "$label" --output-on-failure -j "$JOBS"
+  echo "check.sh: $name passed"
   exit 0
 fi
 

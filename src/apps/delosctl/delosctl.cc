@@ -145,7 +145,7 @@ int RunDemo(const std::string& command, const std::string& arg, bool json) {
     BuildStack(server, config);
     auto app = std::make_unique<zelos::ZelosApplicator>();
     app->set_metrics(server.metrics());
-    // Through the workload apply tap, so the demo's /workload, /top/keys
+    // Through the app frame's workload tap, so the demo's /workload, /top/keys
     // and /top/clients surfaces have per-key attribution to show.
     server.RegisterApplicator(app.get(), zelos::ZelosKeyExtractor::Instance());
     server.RegisterHealthTarget(app.get());

@@ -39,11 +39,18 @@ std::string JsonEscape(const std::string& s) {
 }  // namespace
 
 DivergenceTracker::DivergenceTracker(DivergenceOptions options) : options_(std::move(options)) {
-  if (options_.metrics != nullptr) {
-    appended_counter_ = options_.metrics->GetCounter("digest.beacons_appended");
-    checked_counter_ = options_.metrics->GetCounter("digest.beacons_checked");
-    mismatch_counter_ = options_.metrics->GetCounter("digest.mismatches");
-    verified_gauge_ = options_.metrics->GetGauge("digest.last_verified_pos");
+  AttachSinks(options_.metrics, options_.recorder);
+}
+
+void DivergenceTracker::AttachSinks(MetricsRegistry* metrics, FlightRecorder* recorder) {
+  std::lock_guard<std::mutex> lock(mu_);
+  options_.metrics = metrics;
+  options_.recorder = recorder;
+  if (metrics != nullptr) {
+    appended_counter_ = metrics->GetCounter("digest.beacons_appended");
+    checked_counter_ = metrics->GetCounter("digest.beacons_checked");
+    mismatch_counter_ = metrics->GetCounter("digest.mismatches");
+    verified_gauge_ = metrics->GetGauge("digest.last_verified_pos");
   }
 }
 

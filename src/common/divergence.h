@@ -54,6 +54,10 @@ class DivergenceTracker {
  public:
   explicit DivergenceTracker(DivergenceOptions options);
 
+  // Points the tracker at a metrics registry and a flight recorder (the
+  // DigestEngine calls this when its server's probe arrives). Thread-safe.
+  void AttachSinks(MetricsRegistry* metrics, FlightRecorder* recorder);
+
   // Proposer side: a beacon header/record left this replica.
   void OnBeaconAppended();
 

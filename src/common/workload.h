@@ -44,8 +44,8 @@
 // across replays.
 //
 // This header lives in src/common and knows nothing about LogEntry; the
-// client-id <-> header-map plumbing is in src/core/entry.h and the apply
-// tap decorator in src/core/cluster.cc.
+// client-id <-> header-map plumbing is in src/core/entry.h and both taps in
+// src/core/probe.h.
 #pragma once
 
 #include <atomic>
@@ -261,8 +261,9 @@ class IKeyExtractor {
 };
 
 // The per-server attribution plane. Thread-safe; one instance per
-// ClusterServer, fed by the propose tap (StackableEngine / BaseEngine) and
-// the apply tap (the WorkloadTapApplicator wrapping each app applicator).
+// ClusterServer, fed through the server's Probe (src/core/probe.h) by the
+// propose tap (every layer's hand-off) and the apply tap (the AppFrame
+// around each app applicator).
 class WorkloadAttributor {
  public:
   struct Options {

@@ -147,97 +147,3 @@ class ApplyProfiler {
 };
 
 }  // namespace delos
-
-#include "src/common/trace.h"
-#include "src/common/workload.h"
-#include "src/core/engine.h"
-#include "src/core/entry.h"
-
-namespace delos {
-
-// Wraps an application applicator so its apply/postApply frames show up in
-// the profiler under "app.*" — the top of the Figure 7 stack breakdown.
-class ProfiledApplicator : public IApplicator {
- public:
-  ProfiledApplicator(IApplicator* inner, ApplyProfiler* profiler)
-      : inner_(inner), profiler_(profiler) {}
-
-  std::any Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) override {
-    static const std::string kLabel = "app.apply";
-    ApplyProfiler::Scope scope(profiler_, kLabel);
-    return inner_->Apply(txn, entry, pos);
-  }
-  void PostApply(const LogEntry& entry, LogPos pos) override {
-    static const std::string kLabel = "app.postApply";
-    ApplyProfiler::Scope scope(profiler_, kLabel);
-    inner_->PostApply(entry, pos);
-  }
-
- private:
-  IApplicator* inner_;
-  ApplyProfiler* profiler_;
-};
-
-// Wraps an application applicator so a traced entry gets an "app.apply"
-// span on every replica — the top of the up-path in a proposal's trace.
-class TracedApplicator : public IApplicator {
- public:
-  TracedApplicator(IApplicator* inner, Tracer* tracer, std::string server_id)
-      : inner_(inner), tracer_(tracer), server_id_(std::move(server_id)) {}
-
-  std::any Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) override {
-    if (tracer_ == nullptr) {
-      return inner_->Apply(txn, entry, pos);
-    }
-    const std::vector<uint64_t> ids = TraceIdsOf(entry);
-    const int64_t start = tracer_->NowMicros();
-    std::any result = inner_->Apply(txn, entry, pos);
-    const int64_t end = tracer_->NowMicros();
-    for (const uint64_t id : ids) {
-      tracer_->RecordSpan(id, "app.apply", server_id_, start, end);
-    }
-    return result;
-  }
-  void PostApply(const LogEntry& entry, LogPos pos) override { inner_->PostApply(entry, pos); }
-
- private:
-  IApplicator* inner_;
-  Tracer* tracer_;
-  std::string server_id_;
-};
-
-// Wraps an application applicator so every applied app entry is charged to
-// the workload attribution plane. Sitting at the top of the stack means
-// batch sub-entries arrive here individually (BatchingEngine decodes them
-// before calling upstream), so per-key and per-client attribution is exact
-// and — because apply is log-driven — identical on every replica. The key
-// extractor is app-provided (semantic keys: table/pk, zk path, queue name);
-// a null extractor attributes bytes and clients but no keys.
-class WorkloadTapApplicator : public IApplicator {
- public:
-  WorkloadTapApplicator(IApplicator* inner, WorkloadAttributor* attributor,
-                        const IKeyExtractor* extractor)
-      : inner_(inner), attributor_(attributor), extractor_(extractor) {}
-
-  std::any Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) override {
-    // BeginApply keeps the op/byte totals exact for every record; only the
-    // sampled subset pays for key extraction, client-id parsing, and the
-    // sketch updates (with the compensating weight).
-    if (attributor_ != nullptr && attributor_->BeginApply(entry.payload.size())) {
-      uint64_t ids[16];
-      const size_t n = ClientIdsInto(entry, ids, 16);
-      attributor_->ChargeApplySampled(
-          extractor_ != nullptr ? extractor_->KeyOf(entry.payload) : "",
-          std::span<const uint64_t>(ids, n), entry.payload.size());
-    }
-    return inner_->Apply(txn, entry, pos);
-  }
-  void PostApply(const LogEntry& entry, LogPos pos) override { inner_->PostApply(entry, pos); }
-
- private:
-  IApplicator* inner_;
-  WorkloadAttributor* attributor_;
-  const IKeyExtractor* extractor_;
-};
-
-}  // namespace delos

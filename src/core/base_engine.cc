@@ -56,14 +56,25 @@ BaseEngine::BaseEngine(std::shared_ptr<ISharedLog> log, LocalStore* store,
   Rng rng(static_cast<uint64_t>(RealClock::Instance()->NowMicros()) ^
           Fnv1a64(options_.server_id));
   instance_id_ = options_.server_id + "#" + rng.String(8);
-  if (options_.metrics != nullptr) {
-    batch_size_hist_ = options_.metrics->GetHistogram("base.apply.batch_size");
-    commit_latency_hist_ = options_.metrics->GetHistogram("base.apply.commit_micros");
-    records_counter_ = options_.metrics->GetCounter("base.apply.records");
-    batches_counter_ = options_.metrics->GetCounter("base.apply.batches");
-    lag_gauge_ = options_.metrics->GetGauge("base.apply.lag");
-    read_stall_hist_ = options_.metrics->GetHistogram("read.stall_micros");
-    prefetch_depth_gauge_ = options_.metrics->GetGauge("read.prefetch.depth");
+  own_probe_.server_id = options_.server_id;
+  own_probe_.tracer = options_.tracer;
+  own_probe_.recorder = options_.recorder;
+  own_probe_.workload = options_.workload;
+}
+
+void BaseEngine::AttachProbe(const Probe* probe) {
+  probe_ = probe;
+  apply_slot_ = probe->Slot("base.apply");
+  postapply_slot_ = probe->Slot("postApply");
+  MetricsRegistry* metrics = probe->metrics;
+  if (metrics != nullptr) {
+    batch_size_hist_ = metrics->GetHistogram("base.apply.batch_size");
+    commit_latency_hist_ = metrics->GetHistogram("base.apply.commit_micros");
+    records_counter_ = metrics->GetCounter("base.apply.records");
+    batches_counter_ = metrics->GetCounter("base.apply.batches");
+    lag_gauge_ = metrics->GetGauge("base.apply.lag");
+    read_stall_hist_ = metrics->GetHistogram("read.stall_micros");
+    prefetch_depth_gauge_ = metrics->GetGauge("read.prefetch.depth");
   }
 }
 
@@ -155,27 +166,13 @@ Future<std::any> BaseEngine::Propose(LogEntry entry) {
   // this engine is the trace root (a bare BaseEngine with no middle engines
   // above it); entries stamped by a layer above keep their ids. The append
   // span brackets the shared-log round trips (quorum phases included).
-  Tracer* tracer = options_.tracer;
-  std::vector<uint64_t> trace_ids;
-  bool trace_root = false;
-  int64_t append_start = 0;
-  if (tracer != nullptr) {
-    trace_ids = TraceIdsOf(entry);
-    if (trace_ids.empty()) {
-      trace_ids.push_back(tracer->NextTraceId());
-      SetTraceIds(&entry, trace_ids);
-      trace_root = true;
-    }
-    append_start = tracer->NowMicros();
-  }
+  const ProposeFrame frame(*probe_, &entry);
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   entry.SetHeader(kBaseHeaderName, EngineHeader{kMsgTypeApp, EncodeBaseHeader(instance_id_, seq)});
+  // The bottom layer's hand-off is the bytes actually appended to the
+  // shared log.
+  probe_->ChargePropose("base.append", entry);
   std::string bytes = entry.Serialize();
-  if (options_.workload != nullptr) {
-    // Propose-path tap for the bottom layer: the bytes actually appended to
-    // the shared log, charged to the proposing clients.
-    options_.workload->ChargePropose("base.append", ClientIdsOf(entry), bytes.size());
-  }
 
   Future<std::any> future;
   {
@@ -185,19 +182,11 @@ Future<std::any> BaseEngine::Propose(LogEntry entry) {
   }
   inflight_appends_.fetch_add(1, std::memory_order_acq_rel);
   log_->Append(std::move(bytes))
-      .Then([this, seq, tracer, trace_ids, append_start](Result<LogPos> result) {
-        if (tracer != nullptr) {
-          const int64_t append_end = tracer->NowMicros();
-          for (const uint64_t id : trace_ids) {
-            tracer->RecordSpan(id, "base.append", options_.server_id, append_start, append_end);
-          }
-        }
-        if (options_.recorder != nullptr) {
-          options_.recorder->Record(FlightEventKind::kAppend,
-                                    result.ok() ? std::string_view() : "append failed",
-                                    trace_ids.empty() ? 0 : trace_ids.front(),
-                                    result.ok() ? result.value() : 0);
-        }
+      .Then([this, seq, frame](Result<LogPos> result) {
+        frame.Span("base.append");
+        probe_->Record(FlightEventKind::kAppend,
+                       result.ok() ? std::string_view() : "append failed",
+                       frame.first_trace_id(), result.ok() ? result.value() : 0);
         // Once shutdown began, the apply/sync machinery may already be torn
         // down: just fail the proposal instead of scheduling playback. Stop()
         // drains inflight_appends_, so `this` outlives this callback.
@@ -211,15 +200,7 @@ Future<std::any> BaseEngine::Propose(LogEntry entry) {
         }
         inflight_appends_.fetch_sub(1, std::memory_order_acq_rel);
       });
-  if (trace_root) {
-    future.Then([tracer, trace_ids, append_start,
-                 server = options_.server_id](Result<std::any> result) {
-      const int64_t end = tracer->NowMicros();
-      for (const uint64_t id : trace_ids) {
-        tracer->RecordSpan(id, "client.propose", server, append_start, end, !result.ok());
-      }
-    });
-  }
+  frame.RootSpanOnCompletion(future);
   return future;
 }
 
@@ -492,7 +473,7 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
   RWTxn txn;
   {
     static const std::string kBeginTxLabel = "base.beginTX";
-    ApplyProfiler::Scope scope(options_.profiler, kBeginTxLabel);
+    ApplyProfiler::Scope scope(probe_->profiler, kBeginTxLabel);
     txn = store_->BeginRW();
   }
 
@@ -524,17 +505,8 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
     // Traced records get a per-replica "base.apply" span plus a flight-
     // recorder event; untraced records (the common case in bulk replay) pay
     // only a header-map lookup when tracing is on, nothing when it is off.
-    std::vector<uint64_t> trace_ids;
-    int64_t apply_span_start = 0;
-    if (options_.tracer != nullptr) {
-      trace_ids = TraceIdsOf(out.entry);
-      if (!trace_ids.empty()) {
-        apply_span_start = options_.tracer->NowMicros();
-      }
-    }
     {
-      static const std::string kApplyLabel = "base.apply";
-      ApplyProfiler::Scope scope(options_.profiler, kApplyLabel);
+      ApplyFrame frame(*probe_, apply_slot_, "base.apply", out.entry);
       const Savepoint savepoint = txn.MakeSavepoint();
       try {
         if (upcall_ != nullptr) {
@@ -549,15 +521,9 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
         Fatal(std::string("non-deterministic exception in apply: ") + e.what());
         return false;
       }
-    }
-    if (!trace_ids.empty()) {
-      const int64_t apply_span_end = options_.tracer->NowMicros();
-      for (const uint64_t id : trace_ids) {
-        options_.tracer->RecordSpan(id, "base.apply", options_.server_id, apply_span_start,
-                                    apply_span_end);
-      }
-      if (options_.recorder != nullptr) {
-        options_.recorder->Record(FlightEventKind::kApply, "", trace_ids.front(), record.pos);
+      frame.End();
+      if (frame.traced()) {
+        probe_->Record(FlightEventKind::kApply, "", frame.first_trace_id(), record.pos);
       }
     }
 #ifdef DELOS_MUTATIONS
@@ -603,7 +569,7 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
   txn.Put(cursor_key_, EncodePos(batch_last));
   {
     static const std::string kCommitTxLabel = "base.commitTX";
-    ApplyProfiler::Scope scope(options_.profiler, kCommitTxLabel);
+    ApplyProfiler::Scope scope(probe_->profiler, kCommitTxLabel);
     const int64_t commit_start = options_.clock->NowMicros();
     try {
       txn.Commit();
@@ -615,9 +581,7 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
       commit_latency_hist_->Record(options_.clock->NowMicros() - commit_start);
     }
   }
-  if (options_.recorder != nullptr) {
-    options_.recorder->Record(FlightEventKind::kCommit, "", 0, records.front().pos, batch_last);
-  }
+  probe_->Record(FlightEventKind::kCommit, "", 0, records.front().pos, batch_last);
 
   // Crash window between commit and publish: the batch (with its cursor) is
   // durable in the store, but nothing downstream of the commit has happened
@@ -626,9 +590,7 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
   // twice; its proposers see "engine stopped" (the standard ambiguous
   // outcome for a crash after commit).
   if (options_.post_commit_crash_hook != nullptr && options_.post_commit_crash_hook(batch_last)) {
-    if (options_.recorder != nullptr) {
-      options_.recorder->Record(FlightEventKind::kCrash, "post-commit crash hook", 0, batch_last);
-    }
+    probe_->Record(FlightEventKind::kCrash, "post-commit crash hook", 0, batch_last);
     return false;
   }
 
@@ -637,10 +599,12 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
   // (Layers that converted an upstream failure into an ApplyError gate their
   // own forwarding.)
   if (upcall_ != nullptr) {
-    static const std::string kPostApplyLabel = "postApply";
+    // One profiler frame for the batch's postApply pass: the upcalls run
+    // back to back, so it measures their sum at two clock reads per batch
+    // rather than per record.
+    ApplyProfiler::Scope scope(probe_->profiler, postapply_slot_);
     for (const Outcome& out : outcomes) {
       if (!out.apply_threw) {
-        ApplyProfiler::Scope scope(options_.profiler, kPostApplyLabel);
         upcall_->PostApply(out.entry, out.pos);
       }
     }
@@ -650,8 +614,8 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
   // anyone woken by a Sync/propose observes counts covering this batch.
   records_applied_.fetch_add(records.size(), std::memory_order_relaxed);
   batches_committed_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.profiler != nullptr) {
-    options_.profiler->RecordBatch(static_cast<int64_t>(records.size()));
+  if (probe_->profiler != nullptr) {
+    probe_->profiler->RecordBatch(static_cast<int64_t>(records.size()));
   }
   if (batch_size_hist_ != nullptr) {
     batch_size_hist_->Record(static_cast<int64_t>(records.size()));
@@ -705,8 +669,8 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
 
   const int64_t busy = options_.clock->NowMicros() - start_micros;
   busy_micros_.fetch_add(busy, std::memory_order_relaxed);
-  if (options_.profiler != nullptr) {
-    options_.profiler->RecordBusy(busy);
+  if (probe_->profiler != nullptr) {
+    probe_->profiler->RecordBusy(busy);
   }
   return true;
 }
@@ -784,10 +748,7 @@ void BaseEngine::FlushNow() {
   }
   auto cursor = snapshot.Get(cursor_key_);
   durable_pos_.store(cursor.has_value() ? DecodePos(*cursor) : 0, std::memory_order_release);
-  if (options_.recorder != nullptr) {
-    options_.recorder->Record(FlightEventKind::kFlush, "", 0,
-                              durable_pos_.load(std::memory_order_relaxed));
-  }
+  probe_->Record(FlightEventKind::kFlush, "", 0, durable_pos_.load(std::memory_order_relaxed));
 }
 
 void BaseEngine::TrimNow() {
@@ -800,9 +761,7 @@ void BaseEngine::TrimNow() {
   const LogPos effective = std::min(allowed, durable_pos_.load(std::memory_order_acquire));
   if (effective > log_->trim_prefix()) {
     log_->Trim(effective);
-    if (options_.recorder != nullptr) {
-      options_.recorder->Record(FlightEventKind::kTrim, "", 0, effective);
-    }
+    probe_->Record(FlightEventKind::kTrim, "", 0, effective);
   }
 }
 
@@ -831,12 +790,12 @@ HealthReport BaseEngine::HealthCheck() const {
     // Workload attribution: when one key (or client) dominates the applied
     // traffic, name it in the stall reason — "the apply loop is behind" is
     // far more actionable as "... and 61% of ops hit one key".
-    if (options_.workload != nullptr) {
-      if (auto hot = options_.workload->HottestKey(); hot.has_value()) {
+    if (WorkloadAttributor* workload = probe_->workload; workload != nullptr) {
+      if (auto hot = workload->HottestKey(); hot.has_value()) {
         attribution += "; hot key: " + hot->name + " (" +
                        std::to_string(static_cast<int64_t>(hot->share_pct)) + "% of applied ops)";
       }
-      if (auto hot = options_.workload->HottestClient(); hot.has_value()) {
+      if (auto hot = workload->HottestClient(); hot.has_value()) {
         attribution += "; hot client: " + hot->name + " (" +
                        std::to_string(static_cast<int64_t>(hot->share_pct)) + "% of applied ops)";
       }
@@ -869,9 +828,7 @@ HealthReport BaseEngine::HealthCheck() const {
 void BaseEngine::Fatal(const std::string& message) {
   // The flight recorder's raison d'être: the last thing a crashing server
   // does is record why, so the ring dumped post-mortem ends with the cause.
-  if (options_.recorder != nullptr) {
-    options_.recorder->Record(FlightEventKind::kCrash, message);
-  }
+  probe_->Record(FlightEventKind::kCrash, message);
   if (options_.fatal_handler != nullptr) {
     options_.fatal_handler(message);
     return;

@@ -39,15 +39,11 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/metrics.h"
-#include "src/common/trace.h"
-#include "src/core/apply_profiler.h"
 #include "src/core/engine.h"
 #include "src/core/health.h"
+#include "src/core/probe.h"
 
 namespace delos {
-
-class WorkloadAttributor;
 
 struct BaseEngineOptions {
   std::string server_id = "server0";
@@ -87,13 +83,10 @@ struct BaseEngineOptions {
   // ReadCacheOptions::write_through; the simulator turns this off so replay
   // always flows through the FaultyLog read path).
   bool read_cache_write_through = true;
-  // Optional instrumentation.
-  ApplyProfiler* profiler = nullptr;
-  // Optional registry; when set the engine records base.apply.batch_size,
-  // base.apply.commit_micros, base.apply.records, base.apply.batches, and
-  // the base.apply.lag gauge (log positions between the play target and the
-  // applied cursor).
-  MetricsRegistry* metrics = nullptr;
+  // Instrumentation sinks. A standalone engine records into these; on a
+  // ClusterServer they seed the server's Probe (see AttachProbe), which also
+  // carries the apply profiler and the metrics registry.
+  //
   // Optional per-proposal tracing: when set, Propose stamps a trace id on
   // untraced entries, records the shared-log append span and per-record
   // apply spans, and completes the client-visible root span.
@@ -170,6 +163,15 @@ class BaseEngine : public IEngine, public IHealthCheckable {
   Future<ROTxn> Sync() override;
   void RegisterUpcall(IApplicator* applicator) override;
   void SetTrimPrefix(LogPos pos) override;
+
+  // Switches the engine to its server's instrumentation probe (which must
+  // outlive it); call before Start. Until then the engine records into the
+  // sinks of its options. With a registry the engine records
+  // base.apply.batch_size, base.apply.commit_micros, base.apply.records,
+  // base.apply.batches, and the base.apply.lag gauge (log positions between
+  // the play target and the applied cursor).
+  void AttachProbe(const Probe* probe);
+  const Probe* probe() const { return probe_; }
 
   const std::string& server_id() const { return options_.server_id; }
   LogPos applied_position() const { return applied_pos_.load(std::memory_order_acquire); }
@@ -260,8 +262,13 @@ class BaseEngine : public IEngine, public IHealthCheckable {
   // Stop() drains this to zero so no callback can touch the engine after
   // teardown.
   std::atomic<int64_t> inflight_appends_{0};
-  // Metric handles resolved once in the constructor (null without a
-  // registry).
+  // The sinks of the options, until AttachProbe replaces them.
+  Probe own_probe_;
+  const Probe* probe_ = &own_probe_;
+  // Profiler slots of the per-record frames, and metric handles (null
+  // without a profiler / registry), resolved once per probe.
+  std::atomic<int64_t>* apply_slot_ = nullptr;
+  std::atomic<int64_t>* postapply_slot_ = nullptr;
   Histogram* batch_size_hist_ = nullptr;
   Histogram* commit_latency_hist_ = nullptr;
   Counter* records_counter_ = nullptr;

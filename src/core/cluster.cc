@@ -1,7 +1,6 @@
 #include "src/core/cluster.h"
 
 #include "src/common/logging.h"
-#include "src/core/apply_profiler.h"
 #include "src/sharedlog/inmemory_log.h"
 
 namespace delos {
@@ -10,12 +9,6 @@ ClusterServer::ClusterServer(std::string id, std::shared_ptr<ISharedLog> log,
                              std::unique_ptr<LocalStore> store, BaseEngineOptions base_options)
     : id_(std::move(id)), log_(std::move(log)), store_(std::move(store)) {
   base_options.server_id = id_;
-  if (base_options.profiler == nullptr) {
-    base_options.profiler = &profiler_;
-  }
-  if (base_options.metrics == nullptr) {
-    base_options.metrics = &metrics_;
-  }
   // The flight recorder is always on: default to this server's own ring.
   // Tracing stays opt-in (a Tracer injected through the base options is
   // shared by the whole cluster so one trace spans every replica).
@@ -68,7 +61,7 @@ ClusterServer::ClusterServer(std::string id, std::shared_ptr<ISharedLog> log,
     ReadCacheOptions cache_options;
     cache_options.capacity_records = base_options.read_cache_capacity;
     cache_options.write_through = base_options.read_cache_write_through;
-    cache_options.metrics = base_options.metrics;
+    cache_options.metrics = &metrics_;
     cache_options.recorder = recorder_;
     read_cache_ = std::make_shared<ReadCachingLog>(log_, cache_options);
     log_ = read_cache_;
@@ -81,7 +74,14 @@ ClusterServer::ClusterServer(std::string id, std::shared_ptr<ISharedLog> log,
   watchdog_options.recorder = recorder_;
   watchdog_options.series = &series_;
   watchdog_ = std::make_unique<Watchdog>(std::move(watchdog_options));
+  probe_.server_id = id_;
+  probe_.profiler = &profiler_;
+  probe_.metrics = &metrics_;
+  probe_.tracer = tracer_;
+  probe_.recorder = recorder_;
+  probe_.workload = base_options.workload;
   base_ = std::make_unique<BaseEngine>(log_, store_.get(), std::move(base_options));
+  base_->AttachProbe(&probe_);
   top_ = base_.get();
   watchdog_->AddTarget(base_.get());
 }
@@ -102,13 +102,8 @@ ClusterServer::~ClusterServer() {
 }
 
 void ClusterServer::RegisterApplicator(IApplicator* app, const IKeyExtractor* extractor) {
-  if (workload_ == nullptr) {
-    top_->RegisterUpcall(app);
-    return;
-  }
-  workload_taps_.push_back(
-      std::make_unique<WorkloadTapApplicator>(app, workload_.get(), extractor));
-  top_->RegisterUpcall(workload_taps_.back().get());
+  app_frames_.push_back(std::make_unique<AppFrame>(app, &probe_, extractor));
+  top_->RegisterUpcall(app_frames_.back().get());
 }
 
 StackableEngine* ClusterServer::FindEngine(const std::string& name) {
@@ -146,6 +141,11 @@ Cluster::~Cluster() {
       server->Stop();
     }
   }
+  servers_.clear();
+  // The delivery thread may still be running ensemble handlers (store
+  // retransmits, acks); stop it before the ensemble it calls into dies.
+  network_.reset();
+  ensemble_.reset();
 }
 
 std::string Cluster::CheckpointPath(int index) const {

@@ -41,12 +41,9 @@ class ClusterServer {
   Engine* AddEngine(Args&&... args) {
     auto engine = std::make_unique<Engine>(std::forward<Args>(args)..., top_, store_.get());
     Engine* raw = engine.get();
-    // Every engine of this server shares its flight recorder and the
-    // cluster's tracer; injected here so stack builders need no plumbing.
-    raw->ConfigureObservability(tracer_, recorder_, id_);
-    // And the workload attribution plane, so every layer's propose hand-off
-    // is charged per client (null when attribution is disabled).
-    raw->ConfigureWorkload(workload_.get());
+    // Every engine of this server instruments through the server's probe,
+    // handed over here so stack builders need no plumbing.
+    raw->AttachProbe(&probe_);
     // And every engine is a watchdog target: its HealthCheck verdict shows
     // up in /healthz and the health.state gauges without registration code
     // in the stack builder.
@@ -72,6 +69,8 @@ class ClusterServer {
   ISharedLog* log() { return log_.get(); }
   // The per-server read cache, or nullptr when disabled.
   ReadCachingLog* read_cache() { return read_cache_.get(); }
+  // The server's instrumentation seam: its id plus the five sinks below.
+  const Probe* probe() const { return &probe_; }
   ApplyProfiler* profiler() { return &profiler_; }
   MetricsRegistry* metrics() { return &metrics_; }
   // The server's always-on flight recorder (the server's own ring unless the
@@ -86,12 +85,11 @@ class ClusterServer {
   // disabled in the base options).
   WorkloadAttributor* workload() { return workload_.get(); }
 
-  // Attaches the application's applicator to the top of the stack, wrapped
-  // in the workload apply tap when attribution is on. The extractor (owned
-  // by the caller, typically the applicator itself) pulls the semantic key
-  // out of each op payload; null attributes ops/bytes/clients but no keys.
-  // Prefer this over top()->RegisterUpcall(app) — the raw form still works
-  // but bypasses per-key attribution.
+  // Attaches the application's applicator to the top of the stack inside
+  // an AppFrame over the server's probe: the app.* profiler frames, the
+  // app.apply span and the workload apply tap. The extractor (owned by the
+  // caller, typically the applicator itself) pulls the semantic key out of
+  // each op payload; null attributes ops/bytes/clients but no keys.
   void RegisterApplicator(IApplicator* app, const IKeyExtractor* extractor = nullptr);
 
   // Health plane. The watchdog holds every engine of this server (base
@@ -143,9 +141,10 @@ class ClusterServer {
   Clock* clock_ = nullptr;
   std::unique_ptr<LatencyAttributor> latency_;
   std::unique_ptr<WorkloadAttributor> workload_;
-  // Apply-tap decorators built by RegisterApplicator (one per registered
-  // app); they must outlive the engines whose upcalls point at them.
-  std::vector<std::unique_ptr<IApplicator>> workload_taps_;
+  Probe probe_;
+  // App frames built by RegisterApplicator (one per registered app); they
+  // must outlive the engines whose upcalls point at them.
+  std::vector<std::unique_ptr<AppFrame>> app_frames_;
   uint64_t tracer_observer_id_ = 0;  // 0 = not registered
   TimeSeriesStore series_;
   std::unique_ptr<Watchdog> watchdog_;

@@ -96,43 +96,6 @@ LogEntry MakeControlEntry(const std::string& engine, uint64_t msgtype, std::stri
   return entry;
 }
 
-namespace {
-
-std::vector<uint64_t> DecodeTraceIds(std::string_view blob) {
-  std::vector<uint64_t> ids;
-  try {
-    Deserializer de(blob);
-    const uint64_t count = de.ReadVarint();
-    ids.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      ids.push_back(de.ReadVarint());
-    }
-  } catch (const SerdeError&) {
-    // Diagnostic data only: a malformed trace header yields "untraced", it
-    // never fails the entry.
-    ids.clear();
-  }
-  return ids;
-}
-
-}  // namespace
-
-std::vector<uint64_t> TraceIdsOf(const LogEntry& entry) {
-  auto header = entry.GetHeaderView(kTraceHeaderName);
-  if (!header.has_value()) {
-    return {};
-  }
-  return DecodeTraceIds(header->blob);
-}
-
-std::vector<uint64_t> TraceIdsOf(const LogEntryView& view) {
-  auto header = view.GetHeader(kTraceHeaderName);
-  if (!header.has_value()) {
-    return {};
-  }
-  return DecodeTraceIds(header->blob);
-}
-
 void SetTraceIds(LogEntry* entry, const std::vector<uint64_t>& ids) {
   Serializer ser;
   ser.WriteVarint(ids.size());
@@ -142,43 +105,6 @@ void SetTraceIds(LogEntry* entry, const std::vector<uint64_t>& ids) {
   entry->SetHeader(kTraceHeaderName, EngineHeader{kMsgTypeApp, ser.Release()});
 }
 
-std::vector<uint64_t> ClientIdsOf(const LogEntry& entry) {
-  auto header = entry.GetHeaderView(kClientHeaderName);
-  if (!header.has_value()) {
-    return {};
-  }
-  return DecodeTraceIds(header->blob);
-}
-
-std::vector<uint64_t> ClientIdsOf(const LogEntryView& view) {
-  auto header = view.GetHeader(kClientHeaderName);
-  if (!header.has_value()) {
-    return {};
-  }
-  return DecodeTraceIds(header->blob);
-}
-
-size_t ClientIdsInto(const LogEntry& entry, uint64_t* out, size_t max) {
-  auto header = entry.GetHeaderView(kClientHeaderName);
-  if (!header.has_value()) {
-    return 0;
-  }
-  try {
-    Deserializer de(header->blob);
-    const uint64_t count = de.ReadVarint();
-    size_t written = 0;
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint64_t id = de.ReadVarint();
-      if (written < max) {
-        out[written++] = id;
-      }
-    }
-    return written;
-  } catch (const std::exception&) {
-    return 0;  // malformed blob: unattributed, never a failed apply
-  }
-}
-
 void SetClientIds(LogEntry* entry, const std::vector<uint64_t>& ids) {
   Serializer ser;
   ser.WriteVarint(ids.size());
@@ -186,6 +112,36 @@ void SetClientIds(LogEntry* entry, const std::vector<uint64_t>& ids) {
     ser.WriteVarint(id);
   }
   entry->SetHeader(kClientHeaderName, EngineHeader{kMsgTypeApp, ser.Release()});
+}
+
+void IdList::push_back(uint64_t id) {
+  if (size_ < kInline) {
+    inline_[size_++] = id;
+    return;
+  }
+  if (size_ == kInline) {
+    heap_.assign(inline_, inline_ + kInline);
+  }
+  heap_.push_back(id);
+  ++size_;
+}
+
+IdList ParseIds(const LogEntry& entry, std::string_view header) {
+  IdList ids;
+  try {
+    auto view = entry.GetHeaderView(header);
+    if (!view.has_value()) {
+      return ids;
+    }
+    Deserializer de(view->blob);
+    const uint64_t count = de.ReadVarint();
+    for (uint64_t i = 0; i < count; ++i) {
+      ids.push_back(de.ReadVarint());
+    }
+  } catch (const SerdeError&) {
+    return IdList{};
+  }
+  return ids;
 }
 
 }  // namespace delos

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -93,11 +94,6 @@ LogEntry MakeControlEntry(const std::string& engine, uint64_t msgtype, std::stri
 // constituent trace.
 inline constexpr char kTraceHeaderName[] = "trace";
 
-// Ids piggybacked on the entry; empty when untraced (or the blob is
-// malformed — tracing is diagnostic and never fails an apply).
-std::vector<uint64_t> TraceIdsOf(const LogEntry& entry);
-std::vector<uint64_t> TraceIdsOf(const LogEntryView& view);
-
 void SetTraceIds(LogEntry* entry, const std::vector<uint64_t>& ids);
 
 // Client-id piggybacking (the workload attribution plane in
@@ -111,16 +107,35 @@ void SetTraceIds(LogEntry* entry, const std::vector<uint64_t>& ids);
 // diagnostic: a malformed blob yields "unattributed", never a failed apply.
 inline constexpr char kClientHeaderName[] = "client";
 
-std::vector<uint64_t> ClientIdsOf(const LogEntry& entry);
-std::vector<uint64_t> ClientIdsOf(const LogEntryView& view);
-
-// Allocation-free variant for the apply tap (called once per applied
-// record): fills up to `max` ids into `out` and returns how many were
-// written. Ids past `max` are dropped — attribution is diagnostic, and a
-// batch entry carrying more constituents than the tap's buffer loses the
-// tail rather than costing the apply loop a heap allocation.
-size_t ClientIdsInto(const LogEntry& entry, uint64_t* out, size_t max);
-
 void SetClientIds(LogEntry* entry, const std::vector<uint64_t>& ids);
+
+// The ids piggybacked under one reserved header (trace or client). Up to
+// kInline ids live in place, so the common single-id entry is parsed with no
+// allocation; a longer list (a batch entry carries one id per constituent,
+// up to batch_max_entries) spills to the heap and keeps every id.
+class IdList {
+ public:
+  static constexpr size_t kInline = 8;
+
+  void push_back(uint64_t id);
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
+  uint64_t front() const { return data()[0]; }
+  const uint64_t* begin() const { return data(); }
+  const uint64_t* end() const { return data() + size_; }
+  operator std::span<const uint64_t>() const { return {data(), size_}; }
+
+ private:
+  const uint64_t* data() const { return size_ <= kInline ? inline_ : heap_.data(); }
+
+  uint64_t inline_[kInline] = {};
+  std::vector<uint64_t> heap_;  // every id, once there are more than kInline
+  size_t size_ = 0;
+};
+
+// Parses the id list under `header` (kTraceHeaderName or kClientHeaderName).
+// Empty when the header is absent or malformed: ids are diagnostic, so a bad
+// blob means "untraced" / "unattributed", never a failed apply.
+IdList ParseIds(const LogEntry& entry, std::string_view header);
 
 }  // namespace delos

@@ -10,94 +10,41 @@ StackableEngine::StackableEngine(std::string name, IEngine* downstream, LocalSto
                                  StackableEngineOptions options)
     : name_(std::move(name)),
       apply_label_(name_ + ".apply"),
-      postapply_label_(name_ + ".postApply"),
       down_label_(name_ + ".down"),
       downstream_(downstream),
       store_(store),
-      options_(options),
       space_("e/" + name_ + "/"),
       enabled_key_(space_.Key("enabled")) {
-  if (options_.profiler != nullptr) {
-    apply_slot_ = options_.profiler->LabelSlot(apply_label_);
-    postapply_slot_ = options_.profiler->LabelSlot(postapply_label_);
-  }
   // Recover the enabled flag; absent means "configured statically".
   auto flag = store_->Snapshot().Get(enabled_key_);
   if (flag.has_value()) {
     enabled_.store(*flag == "1", std::memory_order_release);
   } else {
-    enabled_.store(options_.start_enabled, std::memory_order_release);
+    enabled_.store(options.start_enabled, std::memory_order_release);
   }
   downstream_->RegisterUpcall(this);
 }
 
-void StackableEngine::ConfigureObservability(Tracer* tracer, FlightRecorder* recorder,
-                                             std::string server_id) {
-  options_.tracer = tracer;
-  options_.recorder = recorder;
-  server_label_ = std::move(server_id);
-}
-
-std::vector<uint64_t> StackableEngine::EnsureTraceIds(LogEntry* entry, bool* assigned) {
-  if (assigned != nullptr) {
-    *assigned = false;
-  }
-  if (options_.tracer == nullptr) {
-    return {};
-  }
-  std::vector<uint64_t> ids = TraceIdsOf(*entry);
-  if (ids.empty()) {
-    ids.push_back(options_.tracer->NextTraceId());
-    SetTraceIds(entry, ids);
-    if (assigned != nullptr) {
-      *assigned = true;
-    }
-  }
-  return ids;
-}
-
-void StackableEngine::RecordRootSpanOnCompletion(Future<std::any>& future,
-                                                 std::vector<uint64_t> ids, int64_t start) {
-  Tracer* tracer = options_.tracer;
-  if (tracer == nullptr || ids.empty()) {
-    return;
-  }
-  future.Then(
-      [tracer, ids = std::move(ids), start, server = server_label_](Result<std::any> result) {
-        const int64_t end = tracer->NowMicros();
-        for (const uint64_t id : ids) {
-          tracer->RecordSpan(id, "client.propose", server, start, end, !result.ok());
-        }
-      });
+void StackableEngine::AttachProbe(const Probe* probe) {
+  apply_slot_ = probe->Slot(apply_label_);
+  postapply_slot_ = probe->Slot(name_ + ".postApply");
+  OnProbeAttached(*probe);
+  probe_.store(probe, std::memory_order_release);
 }
 
 Future<std::any> StackableEngine::Propose(LogEntry entry) {
   // Even a not-yet-enabled engine may piggyback its header (phase one of the
   // two-phase insertion protocol); it just must not act on it in apply.
   OnPropose(&entry);
-  if (options_.workload != nullptr) {
-    // Propose-path tap: charge this layer's hand-off with the proposing
-    // clients' serialized bytes (the entry as it descends, headers included).
-    options_.workload->ChargePropose(down_label_, ClientIdsOf(entry), entry.SerializedSize());
-  }
-  Tracer* tracer = options_.tracer;
-  if (tracer == nullptr) {
-    return downstream_->Propose(std::move(entry));
-  }
-  // Down-path span: the synchronous hand-off through every layer below this
-  // one. The topmost engine an entry touches also mints its trace id and
+  // This layer's hand-off, charged with the entry as it descends (headers
+  // included), and its down span: the synchronous hand-off through every
+  // layer below. The topmost engine an entry touches mints its trace id and
   // records the client-visible end-to-end span when the propose settles.
-  bool assigned = false;
-  const std::vector<uint64_t> ids = EnsureTraceIds(&entry, &assigned);
-  const int64_t start = tracer->NowMicros();
+  probe().ChargePropose(down_label_, entry);
+  ProposeFrame frame(probe(), &entry);
   Future<std::any> future = downstream_->Propose(std::move(entry));
-  const int64_t handoff = tracer->NowMicros();
-  for (const uint64_t id : ids) {
-    tracer->RecordSpan(id, down_label_, server_label_, start, handoff);
-  }
-  if (assigned) {
-    RecordRootSpanOnCompletion(future, ids, start);
-  }
+  frame.Span(down_label_);
+  frame.RootSpanOnCompletion(future);
   return future;
 }
 
@@ -117,30 +64,15 @@ void StackableEngine::RelayTrim() {
 }
 
 std::any StackableEngine::Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) {
-  ApplyProfiler::Scope scope(options_.profiler, apply_slot_);
-  // Up-path span: this layer's apply of a traced entry, attributed to this
-  // replica. Untraced entries (tracer off, or no trace header) pay only the
-  // header lookup.
-  Tracer* tracer = options_.tracer;
-  std::vector<uint64_t> trace_ids;
-  int64_t trace_start = 0;
-  if (tracer != nullptr) {
-    trace_ids = TraceIdsOf(entry);
-    if (!trace_ids.empty()) {
-      trace_start = tracer->NowMicros();
-    }
-  }
+  // Up-path frame: this layer's profiler frame and, for a traced entry, its
+  // apply span on this replica.
+  ApplyFrame frame(probe(), apply_slot_, apply_label_, entry);
   upstream_applied_ = false;
   std::any result = ApplyImpl(txn, entry, pos);
   outcome_carry_.Push(
       pos, ApplyOutcome{upstream_applied_,
                         apply_header_.has_value() && apply_header_->msgtype != kMsgTypeApp});
-  if (!trace_ids.empty()) {
-    const int64_t trace_end = tracer->NowMicros();
-    for (const uint64_t id : trace_ids) {
-      tracer->RecordSpan(id, apply_label_, server_label_, trace_start, trace_end);
-    }
-  }
+  frame.End();
   return result;
 }
 
@@ -206,7 +138,7 @@ std::any StackableEngine::CallUpstream(RWTxn& txn, const LogEntry& entry, LogPos
 }
 
 void StackableEngine::PostApply(const LogEntry& entry, LogPos pos) {
-  ApplyProfiler::Scope scope(options_.profiler, postapply_slot_);
+  ApplyProfiler::Scope scope(probe().profiler, postapply_slot_);
   // Restore this entry's parked outcome before dispatching so
   // ForwardPostApply (called from the hooks below) sees the value Apply
   // computed for `pos`, not for whatever record the batch applied last. The
@@ -231,17 +163,13 @@ void StackableEngine::PostApply(const LogEntry& entry, LogPos pos) {
     if (header->msgtype == kMsgTypeEnable) {
       enabled_.store(true, std::memory_order_release);
       LOG_INFO << "engine " << name_ << " enabled via log at pos " << pos;
-      if (options_.recorder != nullptr) {
-        options_.recorder->Record(FlightEventKind::kControl, name_ + " enabled", 0, pos);
-      }
+      probe().Record(FlightEventKind::kControl, name_ + " enabled", 0, pos);
       return;
     }
     if (header->msgtype == kMsgTypeDisable) {
       enabled_.store(false, std::memory_order_release);
       LOG_INFO << "engine " << name_ << " disabled via log at pos " << pos;
-      if (options_.recorder != nullptr) {
-        options_.recorder->Record(FlightEventKind::kControl, name_ + " disabled", 0, pos);
-      }
+      probe().Record(FlightEventKind::kControl, name_ + " disabled", 0, pos);
       return;
     }
     if (enabled()) {

@@ -23,12 +23,9 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/metrics.h"
-#include "src/common/trace.h"
-#include "src/common/workload.h"
-#include "src/core/apply_profiler.h"
 #include "src/core/engine.h"
 #include "src/core/health.h"
+#include "src/core/probe.h"
 
 namespace delos {
 
@@ -73,16 +70,6 @@ inline constexpr uint64_t kMsgTypeEnable = 1000;
 inline constexpr uint64_t kMsgTypeDisable = 1001;
 
 struct StackableEngineOptions {
-  ApplyProfiler* profiler = nullptr;
-  MetricsRegistry* metrics = nullptr;
-  // Observability sinks, normally injected by ClusterServer::AddEngine via
-  // ConfigureObservability (so every engine of a server shares the server's
-  // recorder and the cluster's tracer without per-engine plumbing).
-  Tracer* tracer = nullptr;
-  FlightRecorder* recorder = nullptr;
-  // Workload attribution sink (per-layer propose accounting); injected by
-  // ClusterServer::AddEngine via ConfigureWorkload.
-  WorkloadAttributor* workload = nullptr;
   // Initial enabled state when the LocalStore has no recorded flag (i.e. the
   // engine has always been part of this deployment's stack). Two-phase
   // insertion deploys with false and enables via the log.
@@ -122,14 +109,11 @@ class StackableEngine : public IEngine, public IApplicator, public IHealthChecka
     return HealthReport{name_, HealthState::kOk, "", 0};
   }
 
-  // Wires the tracing/flight-recorder sinks and the server label used on
-  // this engine's spans. Called by ClusterServer::AddEngine right after
-  // construction (before any traffic); tests may call it directly.
-  void ConfigureObservability(Tracer* tracer, FlightRecorder* recorder, std::string server_id);
-
-  // Wires the workload attribution sink (may stay null: attribution off).
-  // Called by ClusterServer::AddEngine alongside ConfigureObservability.
-  void ConfigureWorkload(WorkloadAttributor* workload) { options_.workload = workload; }
+  // Hands the engine its server's instrumentation probe (which must outlive
+  // it). Called by ClusterServer::AddEngine right after construction, before
+  // any traffic; standalone stacks and tests may call it directly. Without
+  // one the engine records nothing.
+  void AttachProbe(const Probe* probe);
 
  protected:
   // Piggybacks this engine's header on an outgoing application proposal.
@@ -169,18 +153,9 @@ class StackableEngine : public IEngine, public IApplicator, public IHealthChecka
   // min(upstream constraint, own opinion) downstream.
   void SetOwnTrimOpinion(LogPos pos);
 
-  // Stamps a fresh trace id on `entry` when tracing is on and the entry has
-  // none — this engine is then the trace root. Returns the entry's ids
-  // (empty when tracing is off); sets *assigned when a fresh id was minted.
-  // Engines that bypass the generic Propose (batching, session retries) call
-  // this so a proposal entering the stack at their layer is still traced.
-  std::vector<uint64_t> EnsureTraceIds(LogEntry* entry, bool* assigned = nullptr);
-
-  // Records the client-visible end-to-end span for a root proposal once its
-  // future settles. `start` is the injected-clock time the proposal entered
-  // the stack.
-  void RecordRootSpanOnCompletion(Future<std::any>& future, std::vector<uint64_t> ids,
-                                  int64_t start);
+  // Engines that export gauges or histograms resolve them here, once the
+  // probe arrives (before any traffic).
+  virtual void OnProbeAttached(const Probe& probe) {}
 
   // This engine's header on the entry currently being applied, found once by
   // the dispatch in Apply. Valid only inside ApplyData/ApplyControl on the
@@ -192,12 +167,11 @@ class StackableEngine : public IEngine, public IApplicator, public IHealthChecka
   IApplicator* upstream() { return upstream_; }
   LocalStore* store() { return store_; }
   const Keyspace& space() const { return space_; }
-  ApplyProfiler* profiler() { return options_.profiler; }
-  MetricsRegistry* metrics() { return options_.metrics; }
-  Tracer* tracer() { return options_.tracer; }
-  FlightRecorder* recorder() { return options_.recorder; }
-  WorkloadAttributor* workload() { return options_.workload; }
-  const std::string& server_label() const { return server_label_; }
+  // Every instrumentation sink of this engine's server. Engines that
+  // bypass the generic Propose (batching, session retries) open their own
+  // ProposeFrame over it, so a proposal entering the stack at their layer
+  // is still charged and traced.
+  const Probe& probe() const { return *probe_.load(std::memory_order_acquire); }
 
  private:
   void RelayTrim();
@@ -213,19 +187,18 @@ class StackableEngine : public IEngine, public IApplicator, public IHealthChecka
   };
 
   std::string name_;
-  // Precomputed profiler/span labels (hot-path Scope takes a reference).
+  // Precomputed profiler/span labels.
   std::string apply_label_;
-  std::string postapply_label_;
   std::string down_label_;
-  // Pre-resolved profiler slots for the two per-record scopes (null when no
+  // Atomic: an engine's background thread (a heartbeat) may propose while
+  // AddEngine is still attaching the probe.
+  std::atomic<const Probe*> probe_{&Probe::Empty()};
+  // Pre-resolved profiler slots for the two per-record frames (null when no
   // profiler): skips the profiler's shared-lock label lookup per record.
   std::atomic<int64_t>* apply_slot_ = nullptr;
   std::atomic<int64_t>* postapply_slot_ = nullptr;
-  // Which replica this engine instance runs on; attributed on its spans.
-  std::string server_label_;
   IEngine* downstream_;
   LocalStore* store_;
-  StackableEngineOptions options_;
   Keyspace space_;
   std::string enabled_key_;
   IApplicator* upstream_ = nullptr;

@@ -10,14 +10,6 @@ namespace {
 
 constexpr char kEngineName[] = "batching";
 
-StackableEngineOptions MakeStackOptions(const BatchingEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
 std::string EncodeBatch(const std::vector<LogEntry>& entries) {
   Serializer ser;
   ser.WriteVarint(entries.size());
@@ -41,14 +33,16 @@ std::vector<LogEntry> DecodeBatch(const std::string& blob) {
 }  // namespace
 
 BatchingEngine::BatchingEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)),
+    : StackableEngine(kEngineName, downstream, store,
+                      StackableEngineOptions{options.start_enabled}),
       options_(options) {
   if (options_.clock == nullptr) {
     options_.clock = RealClock::Instance();
   }
-  if (options_.metrics != nullptr) {
-    queue_depth_gauge_ = options_.metrics->GetGauge("batching.queue.depth");
-  }
+}
+
+void BatchingEngine::OnProbeAttached(const Probe& probe) {
+  queue_depth_gauge_ = probe.GetGauge("batching.queue.depth");
 }
 
 BatchingEngine::~BatchingEngine() {
@@ -63,22 +57,17 @@ Future<std::any> BatchingEngine::Propose(LogEntry entry) {
   if (!enabled()) {
     return downstream()->Propose(std::move(entry));
   }
-  if (workload() != nullptr) {
-    // Propose-path tap for the queue hand-off (this engine bypasses the
-    // generic StackableEngine::Propose). The layers below charge the merged
-    // batch entry once, carrying the union of client ids.
-    workload()->ChargePropose("batching.queue", ClientIdsOf(entry), entry.SerializedSize());
-  }
+  // The queue hand-off (this engine bypasses the generic
+  // StackableEngine::Propose). The layers below charge the merged batch entry
+  // once, carrying the union of client ids. Queue-wait accounting starts
+  // now and its span is recorded at flush; an entry entering the stack at
+  // this layer is stamped here, so batched proposals are traced even with
+  // no engine above.
+  probe().ChargePropose("batching.queue", entry);
   Waiter waiter;
   waiter.promise = std::make_shared<Promise<std::any>>();
   Future<std::any> future = waiter.promise->GetFuture();
-  if (tracer() != nullptr) {
-    // Queue-wait accounting starts now; the span is recorded at flush. An
-    // entry entering the stack at this layer is stamped here, so batched
-    // proposals are traced even with no engine above.
-    waiter.trace_ids = EnsureTraceIds(&entry, &waiter.trace_root);
-    waiter.enqueue_micros = tracer()->NowMicros();
-  }
+  waiter.frame = ProposeFrame(probe(), &entry);
   std::unique_lock<std::mutex> lock(mu_);
   batch_entries_.push_back(std::move(entry));
   batch_waiters_.push_back(std::move(waiter));
@@ -126,7 +115,7 @@ void BatchingEngine::FlushLocked(std::unique_lock<std::mutex>& lock) {
   // proposing client.
   std::vector<uint64_t> merged_clients;
   for (const LogEntry& sub : entries) {
-    for (const uint64_t id : ClientIdsOf(sub)) {
+    for (const uint64_t id : ParseIds(sub, kClientHeaderName)) {
       merged_clients.push_back(id);
     }
   }
@@ -136,7 +125,7 @@ void BatchingEngine::FlushLocked(std::unique_lock<std::mutex>& lock) {
   if (!merged_clients.empty()) {
     SetClientIds(&batch, merged_clients);
   }
-  Tracer* tracer = this->tracer();
+  Tracer* tracer = probe().tracer;
   if (tracer != nullptr) {
     // Close every sub-entry's queue-wait span and stamp the batch control
     // entry with the *union* of their ids: the batch never gets an id of its
@@ -145,11 +134,9 @@ void BatchingEngine::FlushLocked(std::unique_lock<std::mutex>& lock) {
     const int64_t flush_micros = tracer->NowMicros();
     std::vector<uint64_t> merged;
     for (const Waiter& waiter : waiters) {
-      for (const uint64_t id : waiter.trace_ids) {
-        tracer->RecordSpan(id, "batching.queue", server_label(), waiter.enqueue_micros,
-                           flush_micros);
-        merged.push_back(id);
-      }
+      waiter.frame.Span("batching.queue", flush_micros);
+      merged.insert(merged.end(), waiter.frame.trace_ids().begin(),
+                    waiter.frame.trace_ids().end());
     }
     if (!merged.empty()) {
       SetTraceIds(&batch, merged);
@@ -157,8 +144,7 @@ void BatchingEngine::FlushLocked(std::unique_lock<std::mutex>& lock) {
   }
   downstream()
       ->Propose(std::move(batch))
-      .Then([waiters = std::move(waiters), tracer,
-             server = server_label()](Result<std::any> result) {
+      .Then([waiters = std::move(waiters), tracer](Result<std::any> result) {
         const std::vector<std::any>* batch_results = nullptr;
         if (result.ok()) {
           batch_results = &std::any_cast<const std::vector<std::any>&>(result.value());
@@ -170,16 +156,9 @@ void BatchingEngine::FlushLocked(std::unique_lock<std::mutex>& lock) {
           // even when the batch as a whole committed.
           const int64_t end = tracer->NowMicros();
           for (size_t i = 0; i < waiters.size(); ++i) {
-            const Waiter& waiter = waiters[i];
-            if (!waiter.trace_root) {
-              continue;
-            }
             const bool failed = batch_results == nullptr || i >= batch_results->size() ||
                                 IsApplyError((*batch_results)[i]);
-            for (const uint64_t id : waiter.trace_ids) {
-              tracer->RecordSpan(id, "client.propose", server, waiter.enqueue_micros, end,
-                                 failed);
-            }
+            waiters[i].frame.RootSpan(end, failed);
           }
         }
         if (!result.ok()) {

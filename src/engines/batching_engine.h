@@ -27,8 +27,6 @@ class BatchingEngine : public StackableEngine {
   struct Options {
     size_t max_batch_entries = 64;
     int64_t max_delay_micros = 500;
-    ApplyProfiler* profiler = nullptr;
-    MetricsRegistry* metrics = nullptr;
     bool start_enabled = true;
     // Clock for health math (open-batch age). Defaults to RealClock; the
     // flush timer itself stays on the TimerScheduler.
@@ -52,6 +50,7 @@ class BatchingEngine : public StackableEngine {
   uint64_t entries_batched() const { return entries_batched_.load(std::memory_order_relaxed); }
 
  protected:
+  void OnProbeAttached(const Probe& probe) override;
   std::any ApplyControl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,
                         LogPos pos) override;
   void PostApplyControl(const EngineHeader& header, const LogEntry& entry, LogPos pos) override;
@@ -61,12 +60,9 @@ class BatchingEngine : public StackableEngine {
 
   struct Waiter {
     std::shared_ptr<Promise<std::any>> promise;
-    // Tracing context (empty/zero when tracing is off): the sub-entry's
-    // trace ids, when it entered the queue, and whether this engine minted
-    // its id (it then owns the client-visible root span).
-    std::vector<uint64_t> trace_ids;
-    int64_t enqueue_micros = 0;
-    bool trace_root = false;
+    // The sub-entry's trace context, opened when it entered the queue (a
+    // root frame when this engine minted its id).
+    ProposeFrame frame;
   };
 
   void FlushLocked(std::unique_lock<std::mutex>& lock);

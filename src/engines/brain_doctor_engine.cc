@@ -8,18 +8,11 @@ namespace {
 
 constexpr char kEngineName[] = "braindoctor";
 
-StackableEngineOptions MakeStackOptions(const BrainDoctorEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
 }  // namespace
 
 BrainDoctorEngine::BrainDoctorEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)) {}
+    : StackableEngine(kEngineName, downstream, store,
+                      StackableEngineOptions{options.start_enabled}) {}
 
 Future<std::any> BrainDoctorEngine::ApplyRawWrites(std::vector<RawWrite> writes) {
   Serializer ser;
@@ -48,11 +41,9 @@ std::any BrainDoctorEngine::ApplyControl(RWTxn& txn, const EngineHeader& header,
       txn.Delete(key);
     }
   }
-  if (recorder() != nullptr) {
-    // Raw repair writes bypass the application; leave an audit trail.
-    recorder()->Record(FlightEventKind::kControl,
-                       "braindoctor applied " + std::to_string(count) + " raw writes", 0, pos);
-  }
+  // Raw repair writes bypass the application; leave an audit trail.
+  probe().Record(FlightEventKind::kControl,
+                 "braindoctor applied " + std::to_string(count) + " raw writes", 0, pos);
   return std::any(count);
 }
 

@@ -21,8 +21,6 @@ namespace delos {
 class BrainDoctorEngine : public StackableEngine {
  public:
   struct Options {
-    ApplyProfiler* profiler = nullptr;
-    MetricsRegistry* metrics = nullptr;
     bool start_enabled = true;
   };
 

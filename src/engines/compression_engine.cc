@@ -8,18 +8,11 @@ namespace {
 
 constexpr char kEngineName[] = "compression";
 
-StackableEngineOptions MakeStackOptions(const CompressionEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
 }  // namespace
 
 CompressionEngine::CompressionEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)),
+    : StackableEngine(kEngineName, downstream, store,
+                      StackableEngineOptions{options.start_enabled}),
       options_(options) {}
 
 void CompressionEngine::OnPropose(LogEntry* entry) {

@@ -20,8 +20,6 @@ class CompressionEngine : public StackableEngine {
   struct Options {
     // Payloads shorter than this are passed through unchanged.
     size_t min_payload_bytes = 64;
-    ApplyProfiler* profiler = nullptr;
-    MetricsRegistry* metrics = nullptr;
     bool start_enabled = true;
   };
 

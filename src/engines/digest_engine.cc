@@ -23,19 +23,9 @@ const std::vector<std::string>& ExcludedKeys() {
   return kKeys;
 }
 
-StackableEngineOptions MakeStackOptions(const DigestEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
 DivergenceOptions MakeTrackerOptions(const DigestEngine::Options& options) {
   DivergenceOptions tracker_options;
   tracker_options.server = options.server_id;
-  tracker_options.metrics = options.metrics;
-  tracker_options.recorder = options.recorder;
   return tracker_options;
 }
 
@@ -62,7 +52,8 @@ uint64_t DecodeDigest(std::string_view bytes) {
 }  // namespace
 
 DigestEngine::DigestEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)),
+    : StackableEngine(kEngineName, downstream, store,
+                      StackableEngineOptions{options.start_enabled}),
       options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : RealClock::Instance()),
       tracker_(MakeTrackerOptions(options_)) {
@@ -80,6 +71,10 @@ DigestEngine::DigestEngine(Options options, IEngine* downstream, LocalStore* sto
   if (options_.beacon_interval_micros > 0) {
     heartbeat_thread_ = std::thread([this] { HeartbeatLoopMain(); });
   }
+}
+
+void DigestEngine::OnProbeAttached(const Probe& probe) {
+  tracker_.AttachSinks(probe.metrics, probe.recorder);
 }
 
 DigestEngine::~DigestEngine() {
@@ -214,7 +209,7 @@ void DigestEngine::ProcessBeacon(RWTxn& txn, std::string_view blob, const LogEnt
     return true;
   });
 
-  const std::vector<uint64_t> trace_ids = TraceIdsOf(entry);
+  const IdList trace_ids = ParseIds(entry, kTraceHeaderName);
   const uint64_t trace_id = trace_ids.empty() ? 0 : trace_ids.front();
   // window_lo for a mismatch at P is the greatest position verified BELOW P:
   // matches from this beacon's ascending sweep, plus the global verified

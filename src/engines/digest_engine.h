@@ -65,12 +65,6 @@ class DigestEngine : public StackableEngine {
     // Digest samples kept in the store table and carried per beacon.
     size_t sample_window = 8;
     Clock* clock = nullptr;  // defaults to RealClock
-    ApplyProfiler* profiler = nullptr;
-    MetricsRegistry* metrics = nullptr;
-    // Sink for the kDivergence event + conviction flight excerpt. Wired by
-    // stacks.cc to the server's recorder (the tracker needs it at
-    // construction, before ConfigureObservability runs).
-    FlightRecorder* recorder = nullptr;
     bool start_enabled = true;
   };
 
@@ -100,6 +94,7 @@ class DigestEngine : public StackableEngine {
   std::string RenderJson() const;
 
  protected:
+  void OnProbeAttached(const Probe& probe) override;
   void OnPropose(LogEntry* entry) override;
   std::any ApplyData(RWTxn& txn, const LogEntry& entry, LogPos pos) override;
   std::any ApplyControl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,
@@ -121,6 +116,8 @@ class DigestEngine : public StackableEngine {
 
   Options options_;
   Clock* clock_;
+  // Exports into the probe's metrics and records the kDivergence event and
+  // the conviction flight excerpt into the probe's recorder.
   DivergenceTracker tracker_;
 
   std::atomic<uint64_t> propose_count_{0};

@@ -9,14 +9,6 @@ namespace {
 
 constexpr char kEngineName[] = "lease";
 
-StackableEngineOptions MakeStackOptions(const LeaseEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
 std::string EncodeExpire(uint64_t epoch, uint64_t renewal_seq) {
   Serializer ser;
   ser.WriteVarint(epoch);
@@ -44,15 +36,17 @@ LeaseEngine::LeaseState LeaseEngine::LeaseState::Decode(std::string_view bytes) 
 }
 
 LeaseEngine::LeaseEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)),
+    : StackableEngine(kEngineName, downstream, store,
+                      StackableEngineOptions{options.start_enabled}),
       options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : RealClock::Instance()) {
-  if (options_.metrics != nullptr) {
-    active_gauge_ = options_.metrics->GetGauge("lease.active");
-  }
   if (options_.auto_renew) {
     renew_thread_ = std::thread([this] { RenewLoopMain(); });
   }
+}
+
+void LeaseEngine::OnProbeAttached(const Probe& probe) {
+  active_gauge_ = probe.GetGauge("lease.active");
 }
 
 LeaseEngine::~LeaseEngine() {
@@ -149,10 +143,7 @@ std::any LeaseEngine::ApplyControl(RWTxn& txn, const EngineHeader& header, const
       txn.Put(state_key, state.Encode());
       carry.acquired_self = (requester == options_.server_id);
       lease_carry_.Push(pos, carry);
-      if (recorder() != nullptr) {
-        recorder()->Record(FlightEventKind::kLease, "granted to " + requester, 0, pos,
-                           state.epoch);
-      }
+      probe().Record(FlightEventKind::kLease, "granted to " + requester, 0, pos, state.epoch);
       return std::any(true);
     }
     if (state.holder == requester) {
@@ -173,10 +164,7 @@ std::any LeaseEngine::ApplyControl(RWTxn& txn, const EngineHeader& header, const
     if (!state.holder.empty() && state.epoch == epoch && state.renewal_seq == renewal_seq) {
       // No renewal since the expirer's observation: free the lease.
       LOG_INFO << "lease: holder " << state.holder << " expired (epoch " << epoch << ")";
-      if (recorder() != nullptr) {
-        recorder()->Record(FlightEventKind::kLease, "expired holder " + state.holder, 0, pos,
-                           epoch);
-      }
+      probe().Record(FlightEventKind::kLease, "expired holder " + state.holder, 0, pos, epoch);
       state.holder.clear();
       txn.Put(state_key, state.Encode());
       return std::any(true);

@@ -49,8 +49,6 @@ class LeaseEngine : public StackableEngine {
     // is the holder.
     bool auto_renew = true;
     Clock* clock = nullptr;  // defaults to RealClock
-    ApplyProfiler* profiler = nullptr;
-    MetricsRegistry* metrics = nullptr;
     bool start_enabled = true;
   };
 
@@ -81,6 +79,7 @@ class LeaseEngine : public StackableEngine {
   HealthReport HealthCheck() const override;
 
  protected:
+  void OnProbeAttached(const Probe& probe) override;
   void OnPropose(LogEntry* entry) override;
   std::any ApplyData(RWTxn& txn, const LogEntry& entry, LogPos pos) override;
   std::any ApplyControl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,

@@ -11,14 +11,6 @@ namespace {
 
 constexpr char kEngineName[] = "logbackup";
 
-StackableEngineOptions MakeStackOptions(const LogBackupEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
 // Zero-padded so segment keys sort numerically.
 std::string SegmentKeySuffix(uint64_t segment) {
   char buffer[24];
@@ -57,7 +49,8 @@ std::pair<uint64_t, std::string> DecodeSegmentMsg(const std::string& blob) {
 }  // namespace
 
 LogBackupEngine::LogBackupEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)),
+    : StackableEngine(kEngineName, downstream, store,
+                      StackableEngineOptions{options.start_enabled}),
       options_(std::move(options)) {
   upload_worker_ = std::thread([this] { UploadWorkerMain(); });
 }

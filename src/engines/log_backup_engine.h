@@ -37,8 +37,6 @@ class LogBackupEngine : public StackableEngine {
     // Segment size in log positions. Segment s covers
     // [s * size + 1, (s + 1) * size].
     uint64_t segment_size = 64;
-    ApplyProfiler* profiler = nullptr;
-    MetricsRegistry* metrics = nullptr;
     bool start_enabled = true;
   };
 

@@ -4,10 +4,12 @@
 // of the sub-stack below it and records it into named histograms
 // ("<label>.propose.latency_us", matching the production dashboard names in
 // Figure 11). Standard practice is to layer one observer above each engine,
-// separating monitoring from core logic.
+// separating monitoring from core logic. The histograms live in the
+// registry of the attached probe; without one the observer only forwards.
 #pragma once
 
-#include "src/common/metrics.h"
+#include <string>
+
 #include "src/core/stackable_engine.h"
 
 namespace delos {
@@ -18,8 +20,6 @@ class ObserverEngine : public StackableEngine {
     // Names the layer being observed (the engine directly below); becomes
     // the metric prefix.
     std::string label;
-    MetricsRegistry* metrics = nullptr;
-    ApplyProfiler* profiler = nullptr;
   };
 
   ObserverEngine(Options options, IEngine* downstream, LocalStore* store);
@@ -27,9 +27,13 @@ class ObserverEngine : public StackableEngine {
   Future<std::any> Propose(LogEntry entry) override;
   Future<ROTxn> Sync() override;
 
+ protected:
+  void OnProbeAttached(const Probe& probe) override;
+
  private:
-  Histogram* propose_hist_;
-  Histogram* sync_hist_;
+  std::string label_;
+  Histogram* propose_hist_ = nullptr;
+  Histogram* sync_hist_ = nullptr;
 };
 
 }  // namespace delos

@@ -15,14 +15,6 @@ namespace {
 
 constexpr char kEngineName[] = "sessionorder";
 
-StackableEngineOptions MakeStackOptions(const SessionOrderEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
 std::string EncodeSessionHeader(const std::string& session, uint64_t seq) {
   Serializer ser;
   ser.WriteString(session);
@@ -56,7 +48,8 @@ constexpr int kMaxAppendRetries = 8;
 }  // namespace
 
 SessionOrderEngine::SessionOrderEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)),
+    : StackableEngine(kEngineName, downstream, store,
+                      StackableEngineOptions{options.start_enabled}),
       options_(std::move(options)) {
   if (options_.clock == nullptr) {
     options_.clock = RealClock::Instance();
@@ -76,13 +69,7 @@ Future<std::any> SessionOrderEngine::Propose(LogEntry entry) {
   // retries re-propose the same ids — a retried append shows up as extra
   // spans on the *original* trace, which is exactly the causality a debugger
   // wants to see.
-  bool trace_root = false;
-  std::vector<uint64_t> trace_ids;
-  int64_t trace_start = 0;
-  if (tracer() != nullptr) {
-    trace_ids = EnsureTraceIds(&entry, &trace_root);
-    trace_start = tracer()->NowMicros();
-  }
+  const ProposeFrame frame(probe(), &entry);
   LogEntry stamped;
   uint64_t seq;
   {
@@ -97,17 +84,10 @@ Future<std::any> SessionOrderEngine::Propose(LogEntry entry) {
   // postApply when its sequence number applies in order. Append failures are
   // retried with the same sequence number (see ProposeStamped).
   ProposeStamped(std::move(stamped), seq);
-  if (!trace_ids.empty()) {
-    // Sequencing span: stamping plus the synchronous hand-off of the first
-    // append attempt.
-    const int64_t handoff = tracer()->NowMicros();
-    for (const uint64_t id : trace_ids) {
-      tracer()->RecordSpan(id, "sessionorder.seq", server_label(), trace_start, handoff);
-    }
-    if (trace_root) {
-      RecordRootSpanOnCompletion(future, trace_ids, trace_start);
-    }
-  }
+  // Sequencing span: stamping plus the synchronous hand-off of the first
+  // append attempt.
+  frame.Span("sessionorder.seq");
+  frame.RootSpanOnCompletion(future);
   return future;
 }
 

@@ -31,8 +31,6 @@ class SessionOrderEngine : public StackableEngine {
  public:
   struct Options {
     std::string server_id;
-    ApplyProfiler* profiler = nullptr;
-    MetricsRegistry* metrics = nullptr;
     bool start_enabled = true;
     // Clock for health math (oldest-pending age). Defaults to RealClock.
     Clock* clock = nullptr;

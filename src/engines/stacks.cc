@@ -30,8 +30,6 @@ void BuildStack(ClusterServer& server, const StackConfig& config) {
     if (config.observers) {
       ObserverEngine::Options options;
       options.label = label;
-      options.metrics = server.metrics();
-      options.profiler = server.profiler();
       server.AddEngine<ObserverEngine>(options);
     }
   };
@@ -48,9 +46,6 @@ void BuildStack(ClusterServer& server, const StackConfig& config) {
     options.beacon_interval_micros = config.digest_beacon_interval_micros;
     options.sample_window = config.digest_sample_window;
     options.clock = config.clock;
-    options.profiler = server.profiler();
-    options.metrics = server.metrics();
-    options.recorder = server.flight_recorder();
     options.start_enabled = config.digest_start_enabled;
     server.AddEngine<DigestEngine>(options);
     add_observer("digest");
@@ -62,16 +57,12 @@ void BuildStack(ClusterServer& server, const StackConfig& config) {
     options.backup_store = config.backup_store;
     options.log = server.base()->shared_log();
     options.segment_size = config.backup_segment_size;
-    options.profiler = server.profiler();
-    options.metrics = server.metrics();
     server.AddEngine<LogBackupEngine>(options);
     add_observer("logbackup");
   }
 
   if (config.brain_doctor) {
     BrainDoctorEngine::Options options;
-    options.profiler = server.profiler();
-    options.metrics = server.metrics();
     server.AddEngine<BrainDoctorEngine>(options);
     add_observer("braindoctor");
   }
@@ -83,8 +74,6 @@ void BuildStack(ClusterServer& server, const StackConfig& config) {
     options.eject_after_micros = config.eject_after_micros;
     options.heartbeat_interval_micros = config.view_heartbeat_micros;
     options.clock = config.clock;
-    options.profiler = server.profiler();
-    options.metrics = server.metrics();
     server.AddEngine<ViewTrackingEngine>(options);
     add_observer("viewtracking");
   }
@@ -94,8 +83,6 @@ void BuildStack(ClusterServer& server, const StackConfig& config) {
     options.server_id = server.id();
     options.quorum = config.time_quorum;
     options.clock = config.clock;
-    options.profiler = server.profiler();
-    options.metrics = server.metrics();
     server.AddEngine<TimeEngine>(options);
     add_observer("time");
   }
@@ -104,8 +91,6 @@ void BuildStack(ClusterServer& server, const StackConfig& config) {
     SessionOrderEngine::Options options;
     options.server_id = server.id();
     options.clock = config.clock;
-    options.profiler = server.profiler();
-    options.metrics = server.metrics();
     server.AddEngine<SessionOrderEngine>(options);
     add_observer("sessionordering");
   }
@@ -116,8 +101,6 @@ void BuildStack(ClusterServer& server, const StackConfig& config) {
     options.lease_ttl_micros = config.lease_ttl_micros;
     options.guard_epsilon_micros = config.lease_guard_epsilon_micros;
     options.clock = config.clock;
-    options.profiler = server.profiler();
-    options.metrics = server.metrics();
     server.AddEngine<LeaseEngine>(options);
     add_observer("lease");
   }
@@ -127,8 +110,6 @@ void BuildStack(ClusterServer& server, const StackConfig& config) {
     options.max_batch_entries = config.batch_max_entries;
     options.max_delay_micros = config.batch_max_delay_micros;
     options.clock = config.clock;
-    options.profiler = server.profiler();
-    options.metrics = server.metrics();
     server.AddEngine<BatchingEngine>(options);
     add_observer("batching");
   }

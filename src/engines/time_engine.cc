@@ -8,14 +8,6 @@ namespace {
 
 constexpr char kEngineName[] = "time";
 
-StackableEngineOptions MakeStackOptions(const TimeEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
 std::string EncodeCreate(const std::string& id, int64_t duration_micros) {
   Serializer ser;
   ser.WriteString(id);
@@ -59,7 +51,8 @@ struct TimerState {
 }  // namespace
 
 TimeEngine::TimeEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)),
+    : StackableEngine(kEngineName, downstream, store,
+                      StackableEngineOptions{options.start_enabled}),
       options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : RealClock::Instance()) {}
 

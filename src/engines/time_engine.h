@@ -32,8 +32,6 @@ class TimeEngine : public StackableEngine {
     // Servers whose local clocks must elapse before the timer fires.
     int quorum = 1;
     Clock* clock = nullptr;  // defaults to RealClock
-    ApplyProfiler* profiler = nullptr;
-    MetricsRegistry* metrics = nullptr;
     bool start_enabled = true;
   };
 

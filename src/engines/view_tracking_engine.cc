@@ -10,14 +10,6 @@ namespace {
 
 constexpr char kEngineName[] = "viewtracking";
 
-StackableEngineOptions MakeStackOptions(const ViewTrackingEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
 std::string EncodePositionHeader(const std::string& server, LogPos durable) {
   Serializer ser;
   ser.WriteString(server);
@@ -39,15 +31,17 @@ LogPos DecodePos(const std::string& bytes) {
 }  // namespace
 
 ViewTrackingEngine::ViewTrackingEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)),
+    : StackableEngine(kEngineName, downstream, store,
+                      StackableEngineOptions{options.start_enabled}),
       options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : RealClock::Instance()) {
-  if (options_.metrics != nullptr) {
-    members_gauge_ = options_.metrics->GetGauge("viewtracking.members");
-  }
   if (options_.heartbeat_interval_micros > 0) {
     heartbeat_thread_ = std::thread([this] { HeartbeatLoopMain(); });
   }
+}
+
+void ViewTrackingEngine::OnProbeAttached(const Probe& probe) {
+  members_gauge_ = probe.GetGauge("viewtracking.members");
 }
 
 ViewTrackingEngine::~ViewTrackingEngine() {
@@ -82,8 +76,8 @@ void ViewTrackingEngine::ApplyPositionReport(RWTxn& txn, const std::string& serv
   if (!existing.has_value() || durable > known) {
     txn.Put(view_key, EncodePos(durable));
   }
-  if (!existing.has_value() && recorder() != nullptr) {
-    recorder()->Record(FlightEventKind::kViewChange, "join " + server, 0, durable);
+  if (!existing.has_value()) {
+    probe().Record(FlightEventKind::kViewChange, "join " + server, 0, durable);
   }
   RecomputeTrimOpinion(txn);
   {
@@ -122,9 +116,7 @@ std::any ViewTrackingEngine::ApplyControl(RWTxn& txn, const EngineHeader& header
   if (header.msgtype == kMsgTypeEject) {
     Deserializer de(header.blob);
     const std::string server = de.ReadString();
-    if (recorder() != nullptr) {
-      recorder()->Record(FlightEventKind::kViewChange, "eject " + server, 0, pos);
-    }
+    probe().Record(FlightEventKind::kViewChange, "eject " + server, 0, pos);
     txn.Delete(space().Key("view/" + server));
     RecomputeTrimOpinion(txn);
     std::lock_guard<std::mutex> lock(soft_mu_);

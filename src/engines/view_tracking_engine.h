@@ -43,8 +43,6 @@ class ViewTrackingEngine : public StackableEngine {
     // protection.
     int64_t heartbeat_interval_micros = 0;
     Clock* clock = nullptr;  // defaults to RealClock
-    ApplyProfiler* profiler = nullptr;
-    MetricsRegistry* metrics = nullptr;
     bool start_enabled = true;
   };
 
@@ -61,6 +59,7 @@ class ViewTrackingEngine : public StackableEngine {
   HealthReport HealthCheck() const override;
 
  protected:
+  void OnProbeAttached(const Probe& probe) override;
   void OnPropose(LogEntry* entry) override;
   std::any ApplyData(RWTxn& txn, const LogEntry& entry, LogPos pos) override;
   std::any ApplyControl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,

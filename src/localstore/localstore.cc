@@ -360,6 +360,10 @@ RWTxn LocalStore::BeginRW() {
 }
 
 ROTxn LocalStore::Snapshot() {
+  // Read the version and register it as one step against commits:
+  // CommitBatch picks the oldest registered snapshot and compacts under the
+  // exclusive lock, so it can never drop the version this snapshot reads.
+  std::shared_lock<std::shared_mutex> lock(data_mu_);
   return ROTxn(std::make_shared<internal::SnapshotHandle>(this, committed_version()));
 }
 

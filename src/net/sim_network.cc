@@ -26,6 +26,20 @@ SimNetwork::~SimNetwork() {
   }
   cv_.notify_all();
   delivery_thread_.join();
+  // Undelivered events own pending calls whose promises break when dropped,
+  // and their continuations may call again (a sequencer retransmitting a
+  // store). Drop them while every member is still alive; calls fail fast
+  // once shut down, so each chain ends within its caller's retry budget.
+  while (true) {
+    std::priority_queue<Event, std::vector<Event>, std::greater<Event>> undelivered;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (events_.empty()) {
+        break;
+      }
+      undelivered.swap(events_);
+    }
+  }
 }
 
 void SimNetwork::RegisterHandler(const NodeId& node, Handler handler) {
@@ -126,7 +140,15 @@ Future<std::string> SimNetwork::Call(const NodeId& from, const NodeId& to,
   auto call = std::make_shared<PendingCall>();
   Future<std::string> future = call->promise.GetFuture();
 
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  if (shutdown_) {
+    // Fail outside the lock: the continuation may call again.
+    lock.unlock();
+    call->done = true;
+    call->promise.SetException(
+        std::make_exception_ptr(LogUnavailableError("network stopped: " + to + "/" + method)));
+    return future;
+  }
   const uint64_t request_index = ++message_count_;
 
   // Timeout covers drops, partitions, and down nodes uniformly.

@@ -94,7 +94,8 @@ class SimNetwork {
   void SetFlightRecorder(FlightRecorder* recorder);
 
   // Issues an RPC. The future is fulfilled with the handler's reply, or with
-  // LogUnavailableError if the call times out (drop, partition, down node).
+  // LogUnavailableError if the call times out (drop, partition, down node)
+  // or the network is being destroyed.
   Future<std::string> Call(const NodeId& from, const NodeId& to, const std::string& method,
                            std::string request);
 

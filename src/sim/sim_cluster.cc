@@ -364,10 +364,7 @@ class SimCluster::Impl {
     }
     BuildStack(server, config);
     if (options_.shape == StackShape::kFullNine) {
-      CompressionEngine::Options copt;
-      copt.profiler = server.profiler();
-      copt.metrics = server.metrics();
-      server.AddEngine<CompressionEngine>(copt);
+      server.AddEngine<CompressionEngine>(CompressionEngine::Options{});
     }
   }
 

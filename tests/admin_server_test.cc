@@ -33,7 +33,7 @@ class AdminServerTest : public ::testing::Test {
       BuildStack(server, ZelosStackConfig(nullptr));
       auto app = std::make_unique<zelos::ZelosApplicator>();
       app->set_metrics(server.metrics());
-      server.top()->RegisterUpcall(app.get());
+      server.RegisterApplicator(app.get());
       server.RegisterHealthTarget(app.get());
       apps_[server.id()] = std::move(app);
     });
@@ -176,7 +176,7 @@ TEST_F(AdminServerTest, LatencyRoutesReturn404WhenAttributionIsDisabled) {
   Cluster cluster(options, [&](ClusterServer& server) {
     BuildStack(server, ZelosStackConfig(nullptr));
     auto app = std::make_unique<zelos::ZelosApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get());
     apps[server.id()] = std::move(app);
   });
   AdminEndpoint endpoint(&cluster.server(0));

@@ -51,7 +51,7 @@ TEST_P(LossyNetworkSweep, ClusterStaysCorrectUnderPacketLoss) {
     config.view_heartbeat_micros = 50'000;
     BuildStack(server, config);
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get());
     applicators[server.id()] = std::move(app);
   });
 
@@ -123,7 +123,7 @@ TEST(AcceptorChurnTest, CrashAndRecoveryDuringTraffic) {
     config.view_heartbeat_micros = 50'000;  // keep the idle reader in the view
     BuildStack(server, config);
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get());
     applicators[server.id()] = std::move(app);
   });
   TableClient client(cluster.server(0).top());
@@ -161,7 +161,7 @@ TEST(TrimPipelineTest, AllConstraintsGateTrimming) {
     config.backup_segment_size = 8;
     BuildStack(server, config);
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get());
     applicators[server.id()] = std::move(app);
   });
   TableClient client(cluster.server(0).top());

@@ -660,5 +660,36 @@ TEST(LogEntryFuzzTest, MutatedEntriesEitherParseOrThrowSerdeError) {
   EXPECT_GT(rejected, 100);
 }
 
+// The one id parser behind tracing and workload attribution: a batch entry
+// carries one id per constituent, so every id must survive past the inline
+// buffer; a malformed blob reads as "no ids" and never fails the entry.
+TEST(ParseIdsTest, KeepsEveryIdPastTheInlineBuffer) {
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 1; i <= 64; ++i) {
+    ids.push_back(i * 1000);
+  }
+  LogEntry entry;
+  SetTraceIds(&entry, ids);
+  SetClientIds(&entry, {7});
+  const IdList parsed = ParseIds(entry, kTraceHeaderName);
+  ASSERT_EQ(parsed.size(), 64u);
+  EXPECT_GT(parsed.size(), IdList::kInline);
+  EXPECT_EQ(std::vector<uint64_t>(parsed.begin(), parsed.end()), ids);
+  const IdList clients = ParseIds(entry, kClientHeaderName);
+  ASSERT_EQ(clients.size(), 1u);
+  EXPECT_EQ(clients.front(), 7u);
+}
+
+TEST(ParseIdsTest, MalformedOrAbsentBlobMeansNoIds) {
+  LogEntry entry;
+  EXPECT_TRUE(ParseIds(entry, kTraceHeaderName).empty());
+  // Claims five ids but carries one.
+  entry.SetHeader(kTraceHeaderName, EngineHeader{kMsgTypeApp, std::string("\x05\x01", 2)});
+  EXPECT_TRUE(ParseIds(entry, kTraceHeaderName).empty());
+  // Not even a well-formed header envelope.
+  entry.headers[kTraceHeaderName] = "\xff";
+  EXPECT_TRUE(ParseIds(entry, kTraceHeaderName).empty());
+}
+
 }  // namespace
 }  // namespace delos

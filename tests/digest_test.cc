@@ -295,7 +295,7 @@ TEST(DigestEngineClusterTest, CleanReplicasCrossCheckWithoutConvicting) {
     config.digest_beacon_every = 4;
     BuildStack(server, config);
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get());
     applicators[server.id()] = std::move(app);
   });
 
@@ -336,7 +336,7 @@ TEST(DigestEngineClusterTest, CorruptedReplicaIsConvictedOnEveryServer) {
     config.digest_beacon_every = 4;
     BuildStack(server, config);
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get());
     applicators[server.id()] = std::move(app);
   });
 
@@ -397,7 +397,7 @@ TEST(DigestEngineClusterTest, RoutesReturn404WhenDigestDisabled) {
     config.digest = false;
     BuildStack(server, config);
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get());
     applicators[server.id()] = std::move(app);
   });
   AdminEndpoint endpoint(&cluster.server(0));
@@ -415,7 +415,7 @@ TEST(DigestEngineClusterTest, TrimAndReconfigurationNeverConvict) {
     config.digest_beacon_every = 4;
     BuildStack(server, config);
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get());
     applicators[server.id()] = std::move(app);
   });
 

@@ -53,10 +53,12 @@ TEST(ObserverEngineTest, RecordsProposeAndSyncLatency) {
   MetricsRegistry metrics;
   CountingApplicator app;
   BaseEngine base(log, &store, BaseEngineOptions{});
+  Probe probe;
+  probe.metrics = &metrics;
   ObserverEngine::Options options;
   options.label = "base";
-  options.metrics = &metrics;
   ObserverEngine observer(options, &base, &store);
+  observer.AttachProbe(&probe);
   observer.RegisterUpcall(&app);
   base.Start();
 
@@ -73,10 +75,12 @@ TEST(ObserverEngineTest, RecordsLatencyEvenOnFailure) {
   MetricsRegistry metrics;
   CountingApplicator app;
   BaseEngine base(log, &store, BaseEngineOptions{});
+  Probe probe;
+  probe.metrics = &metrics;
   ObserverEngine::Options options;
   options.label = "base";
-  options.metrics = &metrics;
   ObserverEngine observer(options, &base, &store);
+  observer.AttachProbe(&probe);
   observer.RegisterUpcall(&app);
   base.Start();
 

@@ -53,7 +53,7 @@ class DelosTableClusterTest : public testing::Test {
     cluster_ = std::make_unique<Cluster>(options, [this](ClusterServer& server) {
       BuildStack(server, DelosTableStackConfig(&backup_));
       auto app = std::make_unique<TableApplicator>();
-      server.top()->RegisterUpcall(app.get());
+      server.RegisterApplicator(app.get());
       applicators_[server.id()] = std::move(app);
     });
   }
@@ -177,7 +177,7 @@ TEST_F(DelosTableClusterTest, RollingUpgradeInsertsSessionOrderEngine) {
     so_options.start_enabled = false;
     server.AddEngine<SessionOrderEngine>(so_options);
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get());
     applicators_[server.id()] = std::move(app);
   };
   for (int s = 0; s < 3; ++s) {
@@ -224,7 +224,7 @@ TEST(PassiveFollowerTest, FollowerPlaysStreamWithoutBlockingTrim) {
   Cluster cluster(options, [&](ClusterServer& server) {
     BuildStack(server, DelosTableStackConfig(nullptr));
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get());
     applicators[server.id()] = std::move(app);
   });
 
@@ -238,7 +238,7 @@ TEST(PassiveFollowerTest, FollowerPlaysStreamWithoutBlockingTrim) {
       std::move(follower_store), follower_base_options);
   BuildStack(*follower, PassiveFollowerStackConfig());
   TableApplicator follower_app;
-  follower->top()->RegisterUpcall(&follower_app);
+  follower->RegisterApplicator(&follower_app);
   follower->Start();
 
   TableClient writer(cluster.server(0).top());
@@ -276,7 +276,7 @@ TEST(DeterminismProperty, RandomTrafficLeavesIdenticalReplicas) {
     config.batch_max_delay_micros = 200;
     BuildStack(server, config);
     auto app = std::make_unique<zelos::ZelosApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get());
     applicators[server.id()] = std::move(app);
   });
 
@@ -342,7 +342,7 @@ TEST(VirtualLogClusterTest, ReconfigurationUnderTraffic) {
   Cluster cluster(options, [&](ClusterServer& server) {
     BuildStack(server, DelosTableStackConfig(nullptr));
     auto app = std::make_unique<TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get());
     applicators[server.id()] = std::move(app);
   });
 

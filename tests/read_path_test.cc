@@ -374,7 +374,7 @@ TEST(PrefetchTest, ClusterServerWiresSharedCacheIntoApplyPath) {
   ClusterServer server("server0", log, std::make_unique<LocalStore>(), options);
   ASSERT_NE(server.read_cache(), nullptr);
   RecordingApplicator app;
-  server.top()->RegisterUpcall(&app);
+  server.RegisterApplicator(&app);
   server.Start();
   for (int i = 0; i < 20; ++i) {
     server.top()->Propose(PayloadEntry("op" + std::to_string(i))).Get();

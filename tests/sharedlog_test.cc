@@ -140,6 +140,10 @@ class QuorumLogletTest : public testing::Test {
     client_ = std::make_unique<QuorumLogletClient>(network_.get(), "client0", config);
   }
 
+  // The delivery thread may still be running ensemble or client handlers;
+  // stop it before the objects it calls into die.
+  ~QuorumLogletTest() override { network_.reset(); }
+
   std::unique_ptr<SimNetwork> network_;
   std::unique_ptr<QuorumEnsemble> ensemble_;
   std::unique_ptr<QuorumLogletClient> client_;

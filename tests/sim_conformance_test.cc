@@ -132,7 +132,7 @@ class EngineConformanceTest : public ::testing::Test {
                                                   BaseOptions(id));
     engine_case.build(*server, &backup_);
     auto app = std::make_unique<table::TableApplicator>();
-    server->top()->RegisterUpcall(app.get());
+    server->RegisterApplicator(app.get());
     apps_.push_back(std::move(app));
     server->Start();
     return server;

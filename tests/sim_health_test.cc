@@ -196,7 +196,7 @@ TEST(SimHealthTest, FaultFreeSweepProducesZeroNonOkTransitions) {
       BuildStack(server, config);
       auto app = std::make_unique<zelos::ZelosApplicator>();
       app->set_metrics(server.metrics());
-      server.top()->RegisterUpcall(app.get());
+      server.RegisterApplicator(app.get());
       server.RegisterHealthTarget(app.get());
       apps[server.id()] = std::move(app);
     });

@@ -15,10 +15,11 @@
 
 #include "src/backup/backup_store.h"
 #include "src/common/trace.h"
-#include "src/core/apply_profiler.h"
+#include "src/common/workload.h"
 #include "src/core/cluster.h"
 #include "src/engines/compression_engine.h"
 #include "src/engines/stacks.h"
+#include "src/sharedlog/inmemory_log.h"
 #include "src/sim/sim_cluster.h"
 
 namespace delos {
@@ -60,17 +61,11 @@ class TraceTest : public ::testing::Test {
       config.lease_ttl_micros = 600'000'000;  // nobody acquires; nothing expires
       config.observers = true;
       BuildStack(server, config);
-      CompressionEngine::Options copt;
-      copt.profiler = server.profiler();
-      copt.metrics = server.metrics();
-      server.AddEngine<CompressionEngine>(copt);
+      server.AddEngine<CompressionEngine>(CompressionEngine::Options{});
 
       auto app = std::make_unique<NoopApplicator>();
-      auto traced =
-          std::make_unique<TracedApplicator>(app.get(), tracer_.get(), server.id());
-      server.top()->RegisterUpcall(traced.get());
+      server.RegisterApplicator(app.get());
       apps_.push_back(std::move(app));
-      traced_apps_.push_back(std::move(traced));
     });
   }
 
@@ -80,7 +75,6 @@ class TraceTest : public ::testing::Test {
   std::unique_ptr<Tracer> tracer_;
   InMemoryBackupStore backup_;
   std::vector<std::unique_ptr<NoopApplicator>> apps_;
-  std::vector<std::unique_ptr<TracedApplicator>> traced_apps_;
   std::unique_ptr<Cluster> cluster_;
 };
 
@@ -208,6 +202,102 @@ TEST(SimTraceReplay, TraceIsByteIdenticalAcrossReplaysOfOneSchedule) {
   EXPECT_EQ(a.last_trace, b.last_trace) << "replay trace diverged:\n=== run A ===\n"
                                         << a.last_trace << "=== run B ===\n"
                                         << b.last_trace;
+}
+
+// --- One id parse per record, every id kept ---
+
+// A full batch carries one trace id per constituent, past the id parser's
+// inline buffer; the batch's single apply must still record a base.apply
+// span for every one of them.
+TEST(TraceIdParsing, BatchOfSixtyFourTracedSubEntriesYieldsEveryBaseApplySpan) {
+  SimClock clock(0);
+  Tracer::Options tracer_options;
+  tracer_options.clock = &clock;
+  Tracer tracer(tracer_options);
+  Cluster::Options options;
+  options.num_servers = 1;
+  options.base_options.tracer = &tracer;
+  std::vector<std::unique_ptr<NoopApplicator>> apps;
+  BatchingEngine* batching = nullptr;
+  Cluster cluster(options, [&](ClusterServer& server) {
+    StackConfig config;
+    config.view_tracking = false;
+    config.brain_doctor = false;
+    config.digest = false;
+    config.batching = true;
+    config.batch_max_entries = 64;
+    config.batch_max_delay_micros = 60'000'000;  // flush on size only
+    BuildStack(server, config);
+    batching = dynamic_cast<BatchingEngine*>(server.FindEngine("batching"));
+    apps.push_back(std::make_unique<NoopApplicator>());
+    server.RegisterApplicator(apps.back().get());
+  });
+  ASSERT_NE(batching, nullptr);
+  std::vector<Future<std::any>> futures;
+  for (int i = 0; i < 64; ++i) {
+    futures.push_back(cluster.server(0).top()->Propose(PayloadEntry("v" + std::to_string(i))));
+  }
+  for (auto& future : futures) {
+    future.Get();
+  }
+  EXPECT_EQ(batching->batches_proposed(), 1u);
+  ASSERT_EQ(tracer.last_trace_id(), 64u);
+  for (uint64_t id = 1; id <= 64; ++id) {
+    int base_applies = 0;
+    for (const TraceSpan& span : tracer.Collect(id)) {
+      base_applies += span.name == "base.apply" ? 1 : 0;
+    }
+    EXPECT_EQ(base_applies, 1) << tracer.Render(id);
+  }
+}
+
+// A record whose trace blob is malformed applies normally and untraced.
+TEST(TraceIdParsing, MalformedTraceBlobAppliesUntraced) {
+  Tracer tracer;
+  auto log = std::make_shared<InMemoryLog>();
+  LocalStore store;
+  BaseEngineOptions base_options;
+  base_options.tracer = &tracer;
+  BaseEngine engine(log, &store, base_options);
+  NoopApplicator app;
+  engine.RegisterUpcall(&app);
+  engine.Start();
+  LogEntry entry = PayloadEntry("untraced");
+  entry.SetHeader(kTraceHeaderName, EngineHeader{kMsgTypeApp, std::string("\x05\x01", 2)});
+  log->Append(entry.Serialize()).Get();
+  engine.Sync().Get();
+  EXPECT_EQ(store.Snapshot().Get("app/last"), "untraced");
+  EXPECT_EQ(tracer.span_count(), 0u);
+  engine.Stop();
+}
+
+// The shared append charges every client a batch entry carries, including
+// the ids past the parser's inline buffer.
+TEST(TraceIdParsing, BaseAppendChargesEveryClientPastTheInlineBuffer) {
+  MetricsRegistry metrics;
+  WorkloadAttributor::Options workload_options;
+  workload_options.metrics = &metrics;
+  WorkloadAttributor workload(workload_options);
+  auto log = std::make_shared<InMemoryLog>();
+  LocalStore store;
+  BaseEngineOptions base_options;
+  base_options.workload = &workload;
+  BaseEngine engine(log, &store, base_options);
+  NoopApplicator app;
+  engine.RegisterUpcall(&app);
+  engine.Start();
+  std::vector<uint64_t> clients;
+  for (uint64_t i = 0; i < 3 * IdList::kInline; ++i) {
+    clients.push_back(100 + i);
+  }
+  LogEntry entry = PayloadEntry("batch");
+  SetClientIds(&entry, clients);
+  engine.Propose(std::move(entry)).Get();
+  workload.CloseWindow(1'000'000);
+  EXPECT_EQ(metrics.GetCounter("workload.layer.base.append.ops")->value(), 1u);
+  EXPECT_EQ(metrics.GetGauge("workload.window.distinct.clients")->value(),
+            static_cast<int64_t>(clients.size()));
+  engine.Stop();
 }
 
 }  // namespace

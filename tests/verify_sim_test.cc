@@ -200,7 +200,7 @@ class MutationSelfTest : public ::testing::Test {
     ClusterServer server("mut", log, LocalStore::Open(LocalStore::Options{}),
                          BaseOptions(0, warmups + 3));
     table::TableApplicator app;
-    server.top()->RegisterUpcall(&app);
+    server.RegisterApplicator(&app);
     server.Start();
     table::TableClient client(server.top());
     table::TableSchema schema;
@@ -235,7 +235,7 @@ class MutationSelfTest : public ::testing::Test {
     ClusterServer server("mut", log, LocalStore::Open(LocalStore::Options{}),
                          BaseOptions(pushes + 2, 0));
     delosq::QueueApplicator app;
-    server.top()->RegisterUpcall(&app);
+    server.RegisterApplicator(&app);
     server.Start();
     delosq::QueueClient client(server.top());
     client.CreateQueue("q");  // untracked setup
@@ -325,7 +325,7 @@ TEST(VerifyReconfigure, CheckerIsCleanAcrossLogReconfiguration) {
   Cluster cluster(options, [&](ClusterServer& server) {
     BuildStack(server, DelosTableStackConfig(nullptr));
     auto app = std::make_unique<table::TableApplicator>();
-    server.top()->RegisterUpcall(app.get());
+    server.RegisterApplicator(app.get());
     applicators[server.id()] = std::move(app);
   });
 
