@@ -14,7 +14,6 @@
 #include "bench/bench_util.h"
 #include "src/apps/delostable/table_db.h"
 #include "src/common/random.h"
-#include "src/common/trace.h"
 #include "src/core/base_engine.h"
 #include "src/core/cluster.h"
 #include "src/engines/stacks.h"
@@ -131,52 +130,18 @@ struct FleetCluster {
 
 // --- group-commit apply throughput ---
 //
-// Replays a pre-filled log backlog through a fresh BaseEngine at different
-// play_batch_size settings. batch 1 is the per-record pipeline (one
-// LocalStore transaction, cursor write, and commit per record); batch 128 is
-// the group-commit pipeline. Results land in BENCH_apply.json.
+// Replays a backlog through a fresh bare BaseEngine at two play_batch_size
+// settings. batch 1 is the per-record pipeline (one LocalStore transaction,
+// cursor write, and commit per record); batch 128 is the group-commit
+// pipeline. Results land in BENCH_apply.json.
 
 constexpr LogPos kReplayRecords = 50'000;
 
-class ReplayApplicator : public IApplicator {
- public:
-  std::any Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) override {
-    txn.Put("k/" + std::to_string(pos % 512), entry.payload);
-    return std::any(Unit{});
-  }
-};
-
-struct ReplayResult {
-  double records_per_sec = 0;
-  double mean_batch_size = 0;
-  double apply_utilization = 0;  // busy / wall during the replay
-  uint64_t checksum = 0;
-};
-
-ReplayResult MeasureReplay(const std::shared_ptr<InMemoryLog>& log, LogPos batch_size,
-                           FlightRecorder* recorder = nullptr) {
-  LocalStore store;
-  ReplayApplicator app;
-  BaseEngineOptions options;
-  options.server_id = "replay-b" + std::to_string(batch_size);
-  options.play_batch_size = batch_size;
-  options.recorder = recorder;
-  BaseEngine engine(log, &store, options);
-  engine.RegisterUpcall(&app);
-  engine.Start();
-  const int64_t start = RealClock::Instance()->NowMicros();
-  engine.Sync().Get();  // plays the whole backlog
-  const int64_t elapsed = RealClock::Instance()->NowMicros() - start;
-  ReplayResult result;
-  result.records_per_sec =
-      1e6 * static_cast<double>(engine.apply_records()) / static_cast<double>(elapsed);
-  result.mean_batch_size = static_cast<double>(engine.apply_records()) /
-                           static_cast<double>(std::max<uint64_t>(engine.apply_batches(), 1));
-  result.apply_utilization =
-      100.0 * static_cast<double>(engine.apply_busy_micros()) / static_cast<double>(elapsed);
-  engine.Stop();
-  result.checksum = store.Checksum();
-  return result;
+ReplayRun MeasureGroupCommit(const std::shared_ptr<ISharedLog>& log, LogPos batch_size) {
+  ReplayStack stack;
+  stack.base.server_id = "replay-b" + std::to_string(batch_size);
+  stack.base.play_batch_size = batch_size;
+  return Replay(log, stack);
 }
 
 // --- read path: entry cache + pipelined read-ahead over the quorum loglet ---
@@ -195,17 +160,11 @@ ReplayResult MeasureReplay(const std::shared_ptr<InMemoryLog>& log, LogPos batch
 
 constexpr LogPos kReadPathRecords = 16'384;
 constexpr int64_t kReadPathLatencyMicros = 150;
-constexpr size_t kReadPathAppendWindow = 2'048;
-
-struct ReadPathRun {
-  double records_per_sec = 0;
-  uint64_t checksum = 0;
-};
 
 struct ReadPathResult {
-  ReadPathRun sync_no_cache;
-  ReadPathRun prefetch_cache_cold;
-  ReadPathRun prefetch_cache_warm;
+  ReplayRun sync_no_cache;
+  ReplayRun prefetch_cache_cold;
+  ReplayRun prefetch_cache_warm;
   double cold_speedup = 0;   // prefetch+cache (cold) vs synchronous baseline
   double warm_speedup = 0;   // warm cache vs synchronous baseline
   double warm_hit_rate = 0;  // hits / (hits + misses) during the warm replay
@@ -213,59 +172,32 @@ struct ReadPathResult {
   bool checksums_match = false;
 };
 
-ReadPathRun MeasureLogReplay(const std::shared_ptr<ISharedLog>& log, int prefetch_batches) {
-  LocalStore store;
-  ReplayApplicator app;
-  BaseEngineOptions options;
-  options.server_id = "readpath";
-  options.play_batch_size = 128;
-  options.prefetch_batches = prefetch_batches;
-  BaseEngine engine(log, &store, options);
-  engine.RegisterUpcall(&app);
-  engine.Start();
-  const int64_t start = RealClock::Instance()->NowMicros();
-  engine.Sync().Get();  // plays the whole backlog
-  const int64_t elapsed = RealClock::Instance()->NowMicros() - start;
-  engine.Stop();
-  ReadPathRun run;
-  run.records_per_sec =
-      1e6 * static_cast<double>(engine.apply_records()) / static_cast<double>(elapsed);
-  run.checksum = store.Checksum();
-  return run;
+ReplayRun MeasureLogReplay(const std::shared_ptr<ISharedLog>& log, int prefetch_batches) {
+  ReplayStack stack;
+  stack.base.server_id = "readpath";
+  stack.base.prefetch_batches = prefetch_batches;
+  return Replay(log, stack);
 }
 
 ReadPathResult MeasureReadPath() {
   NetworkConfig net_config;
   net_config.default_one_way_latency_micros = kReadPathLatencyMicros;
   net_config.call_timeout_micros = 10'000'000;
-  SimNetwork network(net_config);
+  auto network = std::make_unique<SimNetwork>(net_config);
   QuorumLogletConfig loglet_config;
-  QuorumEnsemble ensemble(&network, loglet_config);
+  QuorumEnsemble ensemble(network.get(), loglet_config);
 
   // Fill the loglet through its own (windowed) append path.
-  auto writer = std::make_shared<QuorumLogletClient>(&network, "bench-writer", loglet_config);
-  LogEntry entry;
-  entry.payload = std::string(100, 'v');
-  const std::string payload = entry.Serialize();
-  std::vector<Future<LogPos>> inflight;
-  inflight.reserve(kReadPathRecords);
-  size_t next_wait = 0;
-  for (LogPos i = 0; i < kReadPathRecords; ++i) {
-    inflight.push_back(writer->Append(payload));
-    if (inflight.size() - next_wait >= kReadPathAppendWindow) {
-      inflight[next_wait++].Get();
-    }
-  }
-  for (; next_wait < inflight.size(); ++next_wait) {
-    inflight[next_wait].Get();
-  }
+  FillBacklog(std::make_shared<QuorumLogletClient>(network.get(), "bench-writer", loglet_config),
+              kReadPathRecords);
 
   ReadPathResult result;
-  auto sync_client = std::make_shared<QuorumLogletClient>(&network, "bench-sync", loglet_config);
+  auto sync_client =
+      std::make_shared<QuorumLogletClient>(network.get(), "bench-sync", loglet_config);
   result.sync_no_cache = MeasureLogReplay(sync_client, 0);
 
   auto cached_client =
-      std::make_shared<QuorumLogletClient>(&network, "bench-cached", loglet_config);
+      std::make_shared<QuorumLogletClient>(network.get(), "bench-cached", loglet_config);
   ReadCacheOptions cache_options;
   cache_options.capacity_records = kReadPathRecords * 2;
   auto cache = std::make_shared<ReadCachingLog>(cached_client, cache_options);
@@ -286,56 +218,37 @@ ReadPathResult MeasureReadPath() {
   result.checksums_match =
       result.sync_no_cache.checksum == result.prefetch_cache_cold.checksum &&
       result.sync_no_cache.checksum == result.prefetch_cache_warm.checksum;
+  // The delivery thread may still be running ensemble or client handlers;
+  // stop it before the objects it calls into die.
+  network.reset();
   return result;
+}
+
+JsonObject ReplayJson(const ReplayRun& run) {
+  JsonObject json;
+  json.Num("records_per_sec", run.records_per_sec, 0)
+      .Num("mean_batch_size", run.mean_batch_size, 2)
+      .Num("apply_utilization_pct", run.apply_busy_pct);
+  return json;
 }
 
 void ReportApplyThroughput(double fleet_under_10_pct, double fleet_max_pct) {
   auto log = std::make_shared<InMemoryLog>();
-  const std::string value(100, 'v');
-  for (LogPos i = 0; i < kReplayRecords; ++i) {
-    LogEntry entry;
-    entry.payload = value;
-    log->Append(entry.Serialize());
-  }
-
-  const ReplayResult per_record = MeasureReplay(log, 1);
-  const ReplayResult grouped = MeasureReplay(log, 128);
+  FillBacklog(log, kReplayRecords);
+  const ReplayRun per_record = MeasureGroupCommit(log, 1);
+  const ReplayRun grouped = MeasureGroupCommit(log, 128);
   const double speedup = grouped.records_per_sec / per_record.records_per_sec;
-
-  // The flight recorder is always-on in production, so its per-record cost
-  // on the apply hot path must be noise (< 5%). Replay the same backlog with
-  // a ring attached and compare best-of-3 against a recorder-free replay
-  // (interleaved, after the warmup above, so cache effects hit both sides).
-  FlightRecorder recorder(4096);
-  ReplayResult off = grouped;
-  ReplayResult on = MeasureReplay(log, 128, &recorder);
-  for (int i = 0; i < 2; ++i) {
-    const ReplayResult off_run = MeasureReplay(log, 128);
-    if (off_run.records_per_sec > off.records_per_sec) {
-      off = off_run;
-    }
-    const ReplayResult on_run = MeasureReplay(log, 128, &recorder);
-    if (on_run.records_per_sec > on.records_per_sec) {
-      on = on_run;
-    }
-  }
-  const double recorder_overhead_pct =
-      100.0 * (off.records_per_sec - on.records_per_sec) / off.records_per_sec;
+  const bool checksums_match = per_record.checksum == grouped.checksum;
 
   std::printf("\nApply-path replay of %llu records (group commit vs per-record):\n",
               static_cast<unsigned long long>(kReplayRecords));
   std::printf("%12s %14s %12s %14s\n", "batch_size", "records/sec", "mean_batch", "utilization%");
   std::printf("%12d %14.0f %12.1f %14.1f\n", 1, per_record.records_per_sec,
-              per_record.mean_batch_size, per_record.apply_utilization);
+              per_record.mean_batch_size, per_record.apply_busy_pct);
   std::printf("%12d %14.0f %12.1f %14.1f\n", 128, grouped.records_per_sec,
-              grouped.mean_batch_size, grouped.apply_utilization);
+              grouped.mean_batch_size, grouped.apply_busy_pct);
   std::printf("speedup: %.2fx; state checksums %s\n", speedup,
-              per_record.checksum == grouped.checksum ? "match" : "MISMATCH");
-  std::printf("flight recorder on the apply path: %.0f rec/s off, %.0f rec/s on "
-              "(%.1f%% overhead, %llu events) — %s\n",
-              off.records_per_sec, on.records_per_sec, recorder_overhead_pct,
-              static_cast<unsigned long long>(recorder.events_recorded()),
-              recorder_overhead_pct < 5.0 ? "within budget" : "OVER BUDGET");
+              checksums_match ? "match" : "MISMATCH");
 
   std::printf("\nRead path over the quorum loglet (%llu records, %lldus one-way latency):\n",
               static_cast<unsigned long long>(kReadPathRecords),
@@ -353,70 +266,29 @@ void ReportApplyThroughput(double fleet_under_10_pct, double fleet_max_pct) {
               static_cast<unsigned long long>(read_path.tail_checks_skipped),
               read_path.checksums_match ? "match" : "MISMATCH");
 
-  const std::string path = std::string(DELOS_SOURCE_DIR) + "/BENCH_apply.json";
-  FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"benchmark\": \"apply_pipeline\",\n"
-               "  \"replay_records\": %llu,\n"
-               "  \"per_record_batch_1\": {\n"
-               "    \"records_per_sec\": %.0f,\n"
-               "    \"mean_batch_size\": %.2f,\n"
-               "    \"apply_utilization_pct\": %.1f\n"
-               "  },\n"
-               "  \"group_commit_batch_128\": {\n"
-               "    \"records_per_sec\": %.0f,\n"
-               "    \"mean_batch_size\": %.2f,\n"
-               "    \"apply_utilization_pct\": %.1f\n"
-               "  },\n"
-               "  \"speedup\": %.2f,\n"
-               "  \"checksums_match\": %s,\n"
-               "  \"flight_recorder\": {\n"
-               "    \"records_per_sec_off\": %.0f,\n"
-               "    \"records_per_sec_on\": %.0f,\n"
-               "    \"overhead_pct\": %.1f,\n"
-               "    \"events_recorded\": %llu,\n"
-               "    \"within_5_pct\": %s\n"
-               "  },\n"
-               "  \"read_path\": {\n"
-               "    \"replay_records\": %llu,\n"
-               "    \"one_way_latency_micros\": %lld,\n"
-               "    \"sync_no_cache\": { \"records_per_sec\": %.0f },\n"
-               "    \"prefetch_cache_cold\": { \"records_per_sec\": %.0f },\n"
-               "    \"prefetch_cache_warm\": { \"records_per_sec\": %.0f },\n"
-               "    \"cold_speedup\": %.2f,\n"
-               "    \"warm_speedup\": %.2f,\n"
-               "    \"warm_cache_hit_rate_pct\": %.1f,\n"
-               "    \"tail_checks_skipped\": %llu,\n"
-               "    \"checksums_match\": %s\n"
-               "  },\n"
-               "  \"fleet\": {\n"
-               "    \"samples_under_10_pct_utilization\": %.1f,\n"
-               "    \"max_utilization_pct\": %.1f\n"
-               "  }\n"
-               "}\n",
-               static_cast<unsigned long long>(kReplayRecords), per_record.records_per_sec,
-               per_record.mean_batch_size, per_record.apply_utilization,
-               grouped.records_per_sec, grouped.mean_batch_size, grouped.apply_utilization,
-               speedup, per_record.checksum == grouped.checksum ? "true" : "false",
-               off.records_per_sec, on.records_per_sec, recorder_overhead_pct,
-               static_cast<unsigned long long>(recorder.events_recorded()),
-               recorder_overhead_pct < 5.0 ? "true" : "false",
-               static_cast<unsigned long long>(kReadPathRecords),
-               static_cast<long long>(kReadPathLatencyMicros),
-               read_path.sync_no_cache.records_per_sec,
-               read_path.prefetch_cache_cold.records_per_sec,
-               read_path.prefetch_cache_warm.records_per_sec, read_path.cold_speedup,
-               read_path.warm_speedup, read_path.warm_hit_rate,
-               static_cast<unsigned long long>(read_path.tail_checks_skipped),
-               read_path.checksums_match ? "true" : "false",
-               fleet_under_10_pct, fleet_max_pct);
-  std::fclose(out);
-  std::printf("wrote %s\n", path.c_str());
+  JsonObject read_json;
+  read_json.Int("replay_records", static_cast<int64_t>(kReadPathRecords))
+      .Int("one_way_latency_micros", kReadPathLatencyMicros)
+      .Obj("sync_no_cache", ReplayJson(read_path.sync_no_cache))
+      .Obj("prefetch_cache_cold", ReplayJson(read_path.prefetch_cache_cold))
+      .Obj("prefetch_cache_warm", ReplayJson(read_path.prefetch_cache_warm))
+      .Num("cold_speedup", read_path.cold_speedup, 2)
+      .Num("warm_speedup", read_path.warm_speedup, 2)
+      .Num("warm_cache_hit_rate_pct", read_path.warm_hit_rate)
+      .Int("tail_checks_skipped", static_cast<int64_t>(read_path.tail_checks_skipped))
+      .Bool("checksums_match", read_path.checksums_match);
+  JsonObject fleet_json;
+  fleet_json.Num("samples_under_10_pct_utilization", fleet_under_10_pct)
+      .Num("max_utilization_pct", fleet_max_pct);
+  JsonObject report = StampedReport("apply_pipeline");
+  report.Int("replay_records", static_cast<int64_t>(kReplayRecords))
+      .Obj("per_record_batch_1", ReplayJson(per_record))
+      .Obj("group_commit_batch_128", ReplayJson(grouped))
+      .Num("speedup", speedup, 2)
+      .Bool("checksums_match", checksums_match)
+      .Obj("read_path", read_json)
+      .Obj("fleet", fleet_json);
+  WriteSourceFile("BENCH_apply.json", report.Render(true));
 }
 
 }  // namespace

@@ -575,7 +575,10 @@ void WorkloadAttributor::ChargePropose(std::string_view layer,
 bool WorkloadAttributor::BeginApply(size_t bytes) {
   const uint64_t before = apply_ops_total_.fetch_add(1, std::memory_order_relaxed);
   apply_bytes_total_.fetch_add(bytes, std::memory_order_relaxed);
-  return (before & rate_sample_mask_) == 0;
+  // Sample on a mix of the ordinal, not the ordinal itself: a fixed stride
+  // aliases with any workload whose period shares a factor with it (period
+  // 4 under stride 8 samples one phase only).
+  return (MixHash(before, 0) & rate_sample_mask_) == 0;
 }
 
 void WorkloadAttributor::ChargeApplySampled(std::string_view key,

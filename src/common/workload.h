@@ -282,7 +282,7 @@ class WorkloadAttributor {
     size_t cm_depth = 4;
     size_t cm_width = 1024;
     int hll_precision = 12;
-    // The apply tap samples every N-th applied op: unsampled ops cost two
+    // The apply tap samples 1 in N applied ops: unsampled ops cost two
     // relaxed atomic adds (op and byte totals stay exact), sampled ops run
     // the full pipeline — key extraction, client-id parse, and every sketch
     // update with an N-fold compensating weight. Counts are unbiased for
@@ -291,8 +291,8 @@ class WorkloadAttributor {
     // so a key or client with a handful of ops in a window can be missed.
     // Rounded down to a power of two; 1 = sample everything (exact per-op
     // attribution at ~8x the default tap cost). Deterministic: the sample
-    // decision is a pure function of the applied-op ordinal, identical on
-    // every replica.
+    // decision is a pure function of the applied-op ordinal (hashed, so
+    // periodic workloads do not alias with N), identical on every replica.
     size_t rate_sample_every = 8;
     // Hard per-server byte budget across every sketch the attributor owns.
     // The constructor shrinks (in order) cm_width, hll_precision, then the

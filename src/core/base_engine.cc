@@ -13,6 +13,20 @@ namespace {
 
 constexpr char kBaseHeaderName[] = "base";
 
+// HealthCheck thresholds: how long the apply cursor may sit behind a raised
+// play target with zero progress before the engine reports DEGRADED /
+// UNHEALTHY, and how many applied-but-not-yet-durable log positions count
+// as a flush backlog (DEGRADED).
+constexpr int64_t kStallDegradedMicros = 500'000;
+constexpr int64_t kStallUnhealthyMicros = 1'500'000;
+constexpr int64_t kFlushBacklogPositions = 100'000;
+
+// Records per backend ReadRange the prefetcher issues, in play batches.
+// Wider fetches amortize the per-read tail check and acceptor round trips of
+// a quorum loglet; the span is re-chunked into play_batch_size batches so
+// the group-commit transaction bound holds.
+constexpr LogPos kPrefetchSpanBatches = 4;
+
 std::string EncodeBaseHeader(const std::string& instance_id, uint64_t seq) {
   Serializer ser;
   ser.WriteString(instance_id);
@@ -313,8 +327,7 @@ bool BaseEngine::PopPrefetched(PrefetchedBatch* batch) {
 // relayed through the queue so the apply thread Fatals exactly as it would
 // have synchronously, and unavailability is retried on the injected clock.
 void BaseEngine::PrefetchThreadMain() {
-  const LogPos span = options_.prefetch_read_span > 0 ? options_.prefetch_read_span
-                                                      : options_.play_batch_size * 4;
+  const LogPos span = options_.play_batch_size * kPrefetchSpanBatches;
   LogPos fetched = applied_pos_.load(std::memory_order_acquire);
   while (true) {
     LogPos target;
@@ -783,7 +796,7 @@ HealthReport BaseEngine::HealthCheck() const {
     const int64_t read_since = read_stall_since_micros_.load(std::memory_order_relaxed);
     const int64_t read_stalled = read_since > 0 ? now - read_since : 0;
     std::string attribution;
-    if (read_stalled >= options_.health_stall_degraded_micros) {
+    if (read_stalled >= kStallDegradedMicros) {
       attribution =
           " (read path stalled " + std::to_string(read_stalled) + "us waiting for log records)";
     }
@@ -800,14 +813,14 @@ HealthReport BaseEngine::HealthCheck() const {
                        std::to_string(static_cast<int64_t>(hot->share_pct)) + "% of applied ops)";
       }
     }
-    if (stalled >= options_.health_stall_unhealthy_micros) {
+    if (stalled >= kStallUnhealthyMicros) {
       report.state = HealthState::kUnhealthy;
       report.reason = "apply stalled " + std::to_string(stalled) + "us behind target (lag " +
                       std::to_string(lag) + ")" + attribution;
       report.value = stalled;
       return report;
     }
-    if (stalled >= options_.health_stall_degraded_micros) {
+    if (stalled >= kStallDegradedMicros) {
       report.state = HealthState::kDegraded;
       report.reason = "apply lagging " + std::to_string(lag) + " positions for " +
                       std::to_string(stalled) + "us" + attribution;
@@ -817,7 +830,7 @@ HealthReport BaseEngine::HealthCheck() const {
   }
   const LogPos durable = durable_pos_.load(std::memory_order_acquire);
   const int64_t backlog = applied > durable ? static_cast<int64_t>(applied - durable) : 0;
-  if (backlog > options_.health_flush_backlog_positions) {
+  if (backlog > kFlushBacklogPositions) {
     report.state = HealthState::kDegraded;
     report.reason = "flush backlog " + std::to_string(backlog) + " positions";
     report.value = backlog;

@@ -54,13 +54,6 @@ struct BaseEngineOptions {
   // tests inject a SimClock so both stall detection and retry pacing are a
   // function of simulated time.
   Clock* clock = nullptr;
-  // HealthCheck thresholds: how long the apply cursor may sit behind a
-  // raised play target with zero progress before the engine reports
-  // DEGRADED / UNHEALTHY, and how many applied-but-not-yet-durable log
-  // positions count as a flush backlog (DEGRADED).
-  int64_t health_stall_degraded_micros = 500'000;
-  int64_t health_stall_unhealthy_micros = 1'500'000;
-  int64_t health_flush_backlog_positions = 100'000;
   // Maximum records per group-commit batch (= per LocalStore transaction).
   LogPos play_batch_size = 128;
   // Read-ahead pipeline: how many decoded batches the prefetch thread may
@@ -69,11 +62,6 @@ struct BaseEngineOptions {
   // batch at a time (the simulator runs this mode so every log read stays a
   // schedule-determined event on the apply thread).
   int prefetch_batches = 8;
-  // Records per backend ReadRange issued by the prefetcher (0 = 4x
-  // play_batch_size). Wider fetches amortize the per-read tail check and
-  // acceptor round trips of a quorum loglet; the span is re-chunked into
-  // play_batch_size batches so the group-commit transaction bound holds.
-  LogPos prefetch_read_span = 0;
   // Per-server shared-log read cache, consumed by ClusterServer (not by
   // BaseEngine itself): when > 0 the server wraps its log in a
   // ReadCachingLog of this many records before building the engine, so the
@@ -96,9 +84,6 @@ struct BaseEngineOptions {
   // LatencyAttributor to the cluster Tracer — per-stage latency.stage.*
   // histograms, critical-path dominance, and slow-trace exemplar capture.
   bool latency_attribution = true;
-  // Explicit bucket bounds for the attributor's histograms (empty = the
-  // default log-bucketed layout).
-  std::vector<int64_t> latency_stage_bucket_bounds;
   // Workload attribution plane (src/common/workload.h). The flag is
   // consumed by ClusterServer: when true the server builds a per-server
   // WorkloadAttributor, wires it into every engine's propose path and the
@@ -107,13 +92,9 @@ struct BaseEngineOptions {
   // ClusterServer; tests may inject their own).
   bool workload_attribution = true;
   WorkloadAttributor* workload = nullptr;
-  // Attributor knobs forwarded by ClusterServer: the hash-family seed (the
-  // simulator pins it so sketches replay byte-identically), the hard
-  // per-server sketch byte budget, and the hot-spot share threshold.
+  // Hash-family seed forwarded by ClusterServer to the attributor (the
+  // simulator pins it so sketches replay byte-identically).
   uint64_t workload_hash_seed = 0x5eed0fde;
-  size_t workload_sketch_byte_budget = 512 * 1024;
-  double workload_hot_share_threshold_pct = 25.0;
-  uint64_t workload_hot_min_ops = 64;
   // Optional (but in practice always-on: ClusterServer defaults it to the
   // server's own ring) flight recorder for appends, batch commits, flushes,
   // trims, and crashes.

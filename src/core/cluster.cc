@@ -31,9 +31,6 @@ ClusterServer::ClusterServer(std::string id, std::shared_ptr<ISharedLog> log,
     workload_options.server = id_;
     workload_options.recorder = recorder_;
     workload_options.hash_seed = base_options.workload_hash_seed;
-    workload_options.sketch_byte_budget = base_options.workload_sketch_byte_budget;
-    workload_options.hot_share_threshold_pct = base_options.workload_hot_share_threshold_pct;
-    workload_options.hot_min_ops = base_options.workload_hot_min_ops;
     workload_ = std::make_unique<WorkloadAttributor>(std::move(workload_options));
     base_options.workload = workload_.get();
   }
@@ -47,7 +44,6 @@ ClusterServer::ClusterServer(std::string id, std::shared_ptr<ISharedLog> log,
     latency_options.metrics = &metrics_;
     latency_options.server = id_;
     latency_options.recorder = recorder_;
-    latency_options.stage_bucket_bounds = base_options.latency_stage_bucket_bounds;
     latency_ = std::make_unique<LatencyAttributor>(std::move(latency_options));
     LatencyAttributor* attributor = latency_.get();
     tracer_observer_id_ =

@@ -10,6 +10,12 @@ namespace {
 
 constexpr char kEngineName[] = "batching";
 
+// An open batch older than these bounds means the flush timer died or the
+// downstream propose path is wedged — the batch should have flushed after
+// max_delay_micros.
+constexpr int64_t kQueueDegradedMicros = 100'000;
+constexpr int64_t kQueueUnhealthyMicros = 1'000'000;
+
 std::string EncodeBatch(const std::vector<LogEntry>& entries) {
   Serializer ser;
   ser.WriteVarint(entries.size());
@@ -198,12 +204,12 @@ HealthReport BatchingEngine::HealthCheck() const {
     return report;
   }
   const int64_t age = options_.clock->NowMicros() - since;
-  if (age >= options_.health_queue_unhealthy_micros) {
+  if (age >= kQueueUnhealthyMicros) {
     report.state = HealthState::kUnhealthy;
     report.reason = "open batch stuck " + std::to_string(age) + "us (" + std::to_string(depth) +
                     " entries; flush timer or downstream wedged)";
     report.value = age;
-  } else if (age >= options_.health_queue_degraded_micros) {
+  } else if (age >= kQueueDegradedMicros) {
     report.state = HealthState::kDegraded;
     report.reason = "open batch aged " + std::to_string(age) + "us (" + std::to_string(depth) +
                     " entries)";

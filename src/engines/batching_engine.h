@@ -31,11 +31,6 @@ class BatchingEngine : public StackableEngine {
     // Clock for health math (open-batch age). Defaults to RealClock; the
     // flush timer itself stays on the TimerScheduler.
     Clock* clock = nullptr;
-    // An open batch older than these bounds means the flush timer died or
-    // the downstream propose path is wedged — the batch should have flushed
-    // after max_delay_micros.
-    int64_t health_queue_degraded_micros = 100'000;
-    int64_t health_queue_unhealthy_micros = 1'000'000;
   };
 
   BatchingEngine(Options options, IEngine* downstream, LocalStore* store);

@@ -15,6 +15,11 @@ namespace {
 
 constexpr char kEngineName[] = "sessionorder";
 
+// A proposal pending longer than these bounds means its seq never applied —
+// a session-sequence hole the retries failed to plug, or a wedged sub-stack.
+constexpr int64_t kPendingDegradedMicros = 1'000'000;
+constexpr int64_t kPendingUnhealthyMicros = 5'000'000;
+
 std::string EncodeSessionHeader(const std::string& session, uint64_t seq) {
   Serializer ser;
   ser.WriteString(session);
@@ -238,12 +243,12 @@ HealthReport SessionOrderEngine::HealthCheck() const {
     return report;
   }
   const int64_t age = options_.clock->NowMicros() - oldest;
-  if (age >= options_.health_pending_unhealthy_micros) {
+  if (age >= kPendingUnhealthyMicros) {
     report.state = HealthState::kUnhealthy;
     report.reason = "oldest pending seq stalled " + std::to_string(age) + "us (" +
                     std::to_string(depth) + " pending; session-sequence hole)";
     report.value = age;
-  } else if (age >= options_.health_pending_degraded_micros) {
+  } else if (age >= kPendingDegradedMicros) {
     report.state = HealthState::kDegraded;
     report.reason = "oldest pending seq waiting " + std::to_string(age) + "us (" +
                     std::to_string(depth) + " pending)";

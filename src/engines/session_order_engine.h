@@ -34,11 +34,6 @@ class SessionOrderEngine : public StackableEngine {
     bool start_enabled = true;
     // Clock for health math (oldest-pending age). Defaults to RealClock.
     Clock* clock = nullptr;
-    // A proposal pending longer than these bounds means its seq never
-    // applied — a session-sequence hole the retries failed to plug, or a
-    // wedged sub-stack.
-    int64_t health_pending_degraded_micros = 1'000'000;
-    int64_t health_pending_unhealthy_micros = 5'000'000;
   };
 
   SessionOrderEngine(Options options, IEngine* downstream, LocalStore* store);

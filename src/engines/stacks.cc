@@ -44,7 +44,6 @@ void BuildStack(ClusterServer& server, const StackConfig& config) {
     options.server_id = server.id();
     options.beacon_every_n_proposals = config.digest_beacon_every;
     options.beacon_interval_micros = config.digest_beacon_interval_micros;
-    options.sample_window = config.digest_sample_window;
     options.clock = config.clock;
     options.start_enabled = config.digest_start_enabled;
     server.AddEngine<DigestEngine>(options);
@@ -81,7 +80,6 @@ void BuildStack(ClusterServer& server, const StackConfig& config) {
   if (config.time) {
     TimeEngine::Options options;
     options.server_id = server.id();
-    options.quorum = config.time_quorum;
     options.clock = config.clock;
     server.AddEngine<TimeEngine>(options);
     add_observer("time");

@@ -47,7 +47,6 @@ struct StackConfig {
   int64_t batch_max_delay_micros = 500;
   int64_t lease_ttl_micros = 500'000;
   int64_t lease_guard_epsilon_micros = 50'000;
-  int time_quorum = 1;
   int64_t eject_after_micros = 0;
   // ViewTracking heartbeat interval (0 = only piggyback on app proposals).
   int64_t view_heartbeat_micros = 0;
@@ -55,11 +54,10 @@ struct StackConfig {
   // and optional idle heartbeat (0 = off; sims keep it off for determinism).
   uint64_t digest_beacon_every = 64;
   int64_t digest_beacon_interval_micros = 0;
-  size_t digest_sample_window = 8;
   // Deploy the digest layer disabled (phase one of two-phase insertion): it
   // sits in the stack and forwards entries but checks no beacons until
-  // EnableViaLog. The digest bench uses this to price enabling the plane on
-  // a stack that already carries the layer.
+  // EnableViaLog. The plane-overhead bench uses this to price enabling the
+  // plane on a stack that already carries the layer.
   bool digest_start_enabled = true;
   Clock* clock = nullptr;
 };

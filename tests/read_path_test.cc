@@ -391,15 +391,29 @@ TEST(PrefetchTest, ClusterServerWiresSharedCacheIntoApplyPath) {
 
 // --- Quorum loglet tail memoization ---
 
-TEST(QuorumTailMemoTest, SkipsTailRpcWhenMemoCoversRange) {
-  NetworkConfig net_config;
-  net_config.default_one_way_latency_micros = 50;
-  SimNetwork network(net_config);
-  QuorumLogletConfig config;
-  config.num_acceptors = 3;
-  QuorumEnsemble ensemble(&network, config);
-  QuorumLogletClient client(&network, "client0", config);
+class QuorumTailMemoTest : public testing::Test {
+ protected:
+  QuorumTailMemoTest() {
+    NetworkConfig net_config;
+    net_config.default_one_way_latency_micros = 50;
+    network_ = std::make_unique<SimNetwork>(net_config);
+    QuorumLogletConfig config;
+    config.num_acceptors = 3;
+    ensemble_ = std::make_unique<QuorumEnsemble>(network_.get(), config);
+    client_ = std::make_unique<QuorumLogletClient>(network_.get(), "client0", config);
+  }
 
+  // The delivery thread may still be running ensemble or client handlers;
+  // stop it before the objects it calls into die.
+  ~QuorumTailMemoTest() override { network_.reset(); }
+
+  std::unique_ptr<SimNetwork> network_;
+  std::unique_ptr<QuorumEnsemble> ensemble_;
+  std::unique_ptr<QuorumLogletClient> client_;
+};
+
+TEST_F(QuorumTailMemoTest, SkipsTailRpcWhenMemoCoversRange) {
+  QuorumLogletClient& client = *client_;
   constexpr int kRecords = 20;
   for (int i = 0; i < kRecords; ++i) {
     client.Append("v" + std::to_string(i)).Get();
@@ -407,12 +421,12 @@ TEST(QuorumTailMemoTest, SkipsTailRpcWhenMemoCoversRange) {
   // Every committed append advanced the memoized tail.
   EXPECT_EQ(client.observed_tail(), static_cast<LogPos>(kRecords + 1));
 
-  const uint64_t messages_before = network.MessageCount();
+  const uint64_t messages_before = network_->MessageCount();
   auto records = client.ReadRange(1, kRecords);
   ASSERT_EQ(records.size(), static_cast<size_t>(kRecords));
   EXPECT_EQ(client.tail_checks_skipped(), 1u);
   // One acceptor sweep (request + reply), no q.tail round trip.
-  EXPECT_EQ(network.MessageCount() - messages_before, 2u);
+  EXPECT_EQ(network_->MessageCount() - messages_before, 2u);
 
   // A range beyond the memoized tail still pays the tail check.
   auto suffix = client.ReadRange(15, kRecords + 10);
@@ -426,15 +440,8 @@ TEST(QuorumTailMemoTest, SkipsTailRpcWhenMemoCoversRange) {
 // successor loglet. A stale memo would let ReadRange skip the q.tail check
 // and treat such a position as committed (a phantom read); post-seal reads
 // must go back to paying the tail round trip.
-TEST(QuorumTailMemoTest, SealClearsTheMemoSoReadsRecheckTail) {
-  NetworkConfig net_config;
-  net_config.default_one_way_latency_micros = 50;
-  SimNetwork network(net_config);
-  QuorumLogletConfig config;
-  config.num_acceptors = 3;
-  QuorumEnsemble ensemble(&network, config);
-  QuorumLogletClient client(&network, "client0", config);
-
+TEST_F(QuorumTailMemoTest, SealClearsTheMemoSoReadsRecheckTail) {
+  QuorumLogletClient& client = *client_;
   constexpr int kRecords = 8;
   for (int i = 0; i < kRecords; ++i) {
     client.Append("v" + std::to_string(i)).Get();

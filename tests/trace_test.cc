@@ -8,6 +8,7 @@
 // replays of the same schedule.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -187,10 +188,11 @@ TEST(SimTraceReplay, TraceIsByteIdenticalAcrossReplaysOfOneSchedule) {
   sim::FaultPlan plan;
   plan.seed = 424242;  // no fault events: pure workload schedule
 
-  options.scratch_dir = "trace_replay_a";
+  const std::filesystem::path scratch = std::filesystem::temp_directory_path();
+  options.scratch_dir = (scratch / "delos_trace_replay_a").string();
   sim::SimCluster first(options);
   const sim::RunReport a = first.Run(plan);
-  options.scratch_dir = "trace_replay_b";
+  options.scratch_dir = (scratch / "delos_trace_replay_b").string();
   sim::SimCluster second(options);
   const sim::RunReport b = second.Run(plan);
 

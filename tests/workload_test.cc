@@ -347,29 +347,47 @@ TEST(WorkloadAttributorTest, WindowCloseResetsWindowEstimatesAndSetsGauges) {
 TEST(WorkloadAttributorTest, SampledTapKeepsTotalsExactAndSharesUnbiased) {
   // The default configuration samples 1 op in 8: op/byte totals stay exact,
   // sampled sketch counts carry the 8x compensating weight, and shares of a
-  // steady workload are preserved.
-  MetricsRegistry metrics;
-  WorkloadAttributor::Options options;
-  options.metrics = &metrics;
-  options.server = "sampled";
-  options.hot_min_ops = 8;
-  ASSERT_EQ(options.rate_sample_every, 8u);
-  WorkloadAttributor attributor(std::move(options));
-  const std::vector<uint64_t> clients{5};
-  for (int i = 0; i < 4000; ++i) {
-    // 4 of 5 ops on the hot key — period 5 is co-prime with the 1-in-8
-    // sampling, so the sampled subset sees the true 80/20 mix.
-    attributor.ChargeApply(i % 5 == 4 ? "cold" : "hot", clients, 100);
+  // steady workload are preserved whatever its period. Period 4 shares a
+  // factor with 8, so a fixed-stride sampler sees one phase only (0% or
+  // 100% hot); period 5 is co-prime with it.
+  constexpr int kOps = 16'000;
+  // ~2,000 sampled ops put one binomial standard deviation of the share at
+  // under 1 point; 3 points is a 3-sigma bound.
+  constexpr double kTolerancePct = 3.0;
+  for (const int period : {4, 5}) {
+    SCOPED_TRACE("period " + std::to_string(period));
+    MetricsRegistry metrics;
+    WorkloadAttributor::Options options;
+    options.metrics = &metrics;
+    options.server = "sampled";
+    options.hot_min_ops = 8;
+    ASSERT_EQ(options.rate_sample_every, 8u);
+    WorkloadAttributor attributor(std::move(options));
+    const std::vector<uint64_t> clients{5};
+    for (int i = 0; i < kOps; ++i) {
+      attributor.ChargeApply(i % period == 0 ? "cold" : "hot", clients, 100);
+    }
+    EXPECT_EQ(attributor.apply_ops(), static_cast<uint64_t>(kOps));
+    const auto hot = attributor.HottestKey();
+    ASSERT_TRUE(hot.has_value());
+    EXPECT_EQ(hot->name, "hot");
+    EXPECT_NEAR(hot->share_pct, 100.0 * (period - 1) / period, kTolerancePct);
+
+    // BeginApply alone counts without sketching, and its decision is a pure
+    // function of the ordinal: a fresh attributor brought to the same
+    // ordinal makes the same calls (what keeps replicas and replays
+    // identical).
+    WorkloadAttributor::Options twin_options;
+    twin_options.metrics = &metrics;
+    WorkloadAttributor twin(std::move(twin_options));
+    for (int i = 0; i < kOps; ++i) {
+      twin.BeginApply(100);
+    }
+    for (int i = 0; i < 64; ++i) {
+      EXPECT_EQ(attributor.BeginApply(10), twin.BeginApply(10)) << "op " << i;
+    }
+    EXPECT_EQ(attributor.apply_ops(), static_cast<uint64_t>(kOps + 64));
   }
-  EXPECT_EQ(attributor.apply_ops(), 4000u);
-  const auto hot = attributor.HottestKey();
-  ASSERT_TRUE(hot.has_value());
-  EXPECT_EQ(hot->name, "hot");
-  EXPECT_NEAR(hot->share_pct, 80.0, 1.0);
-  // BeginApply alone counts without sketching; ordinal 4000 (0-based) is
-  // divisible by 8, so it reports sampled.
-  EXPECT_TRUE(attributor.BeginApply(10));
-  EXPECT_EQ(attributor.apply_ops(), 4001u);
 }
 
 }  // namespace
