@@ -118,7 +118,6 @@ int main() {
       StackConfig config = ZelosStackConfig(&backup);
       config.backup_segment_size = 256;
       config.batch_max_entries = 8;
-      config.batch_max_delay_micros = 100;
       BuildStack(server, config);
       auto app = std::make_unique<zelos::ZelosApplicator>();
       server.RegisterApplicator(app.get(), zelos::ZelosKeyExtractor::Instance());

@@ -38,7 +38,6 @@ struct Server {
     if (with_batching) {
       BatchingEngine::Options options;
       options.max_batch_entries = 64;
-      options.max_delay_micros = 400;
       batching = std::make_unique<BatchingEngine>(options, base.get(), &store);
       top = batching.get();
     }

@@ -87,7 +87,6 @@ void RunZelosDemo(const Drive& drive, const Report& report) {
   Cluster cluster(options, [&](ClusterServer& server) {
     StackConfig config = ZelosStackConfig(nullptr);
     config.batch_max_entries = 8;
-    config.batch_max_delay_micros = 500;
     BuildStack(server, config);
     app = std::make_unique<zelos::ZelosApplicator>();
     app->set_metrics(server.metrics());

@@ -47,7 +47,6 @@ struct Deployment {
       top = session_order.get();
       BatchingEngine::Options batch_options;
       batch_options.max_batch_entries = 32;
-      batch_options.max_delay_micros = 300;
       batching = std::make_unique<BatchingEngine>(batch_options, top, &store);
       top = batching.get();
     }

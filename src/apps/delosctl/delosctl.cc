@@ -138,7 +138,6 @@ int RunDemo(const std::string& command, const std::string& arg, bool json) {
   Cluster cluster(options, [&](ClusterServer& server) {
     StackConfig config = ZelosStackConfig(nullptr);
     config.batch_max_entries = 8;
-    config.batch_max_delay_micros = 500;
     // A tight beacon cadence so the demo's short burst crosses it several
     // times and `delosctl digest` has checked beacons to show.
     config.digest_beacon_every = 8;

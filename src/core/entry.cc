@@ -18,11 +18,15 @@ EngineHeaderView DecodeHeaderView(std::string_view bytes) {
 
 std::string LogEntry::Serialize() const {
   Serializer ser(SerializedSize());
+  SerializeInto(ser);
+  return ser.Release();
+}
+
+void LogEntry::SerializeInto(Serializer& ser) const {
   ser.WriteMap(
       headers, [](Serializer& s, const std::string& k) { s.WriteString(k); },
       [](Serializer& s, const std::string& v) { s.WriteString(v); });
   ser.WriteString(payload);
-  return ser.Release();
 }
 
 size_t LogEntry::SerializedSize() const {

@@ -20,6 +20,8 @@
 
 namespace delos {
 
+class Serializer;
+
 // Message type used by every engine for headers piggybacked on application
 // data. Engine-specific control commands use values >= 1.
 inline constexpr uint64_t kMsgTypeApp = 0;
@@ -46,6 +48,8 @@ struct LogEntry {
   std::string payload;
 
   std::string Serialize() const;
+  // Appends Serialize()'s bytes to `ser` without an intermediate string.
+  void SerializeInto(Serializer& ser) const;
   // Exact encoded size of Serialize()'s output (used to right-size buffers).
   size_t SerializedSize() const;
   static LogEntry Deserialize(std::string_view bytes);

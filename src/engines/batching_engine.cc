@@ -1,6 +1,8 @@
 #include "src/engines/batching_engine.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <utility>
 
 #include "src/common/serde.h"
 
@@ -10,17 +12,24 @@ namespace {
 
 constexpr char kEngineName[] = "batching";
 
-// An open batch older than these bounds means the flush timer died or the
-// downstream propose path is wedged — the batch should have flushed after
-// max_delay_micros.
+// An open batch waits only on an in-flight batch, so one older than these
+// bounds means the downstream propose path is wedged.
 constexpr int64_t kQueueDegradedMicros = 100'000;
 constexpr int64_t kQueueUnhealthyMicros = 1'000'000;
 
+// The sub-entries, each length-prefixed, written into one exactly sized
+// buffer (the same bytes as prefixing each entry's Serialize()).
 std::string EncodeBatch(const std::vector<LogEntry>& entries) {
-  Serializer ser;
+  size_t total = Serializer::VarintSize(entries.size());
+  for (const LogEntry& entry : entries) {
+    const size_t size = entry.SerializedSize();
+    total += Serializer::VarintSize(size) + size;
+  }
+  Serializer ser(total);
   ser.WriteVarint(entries.size());
   for (const LogEntry& entry : entries) {
-    ser.WriteString(entry.Serialize());
+    ser.WriteVarint(entry.SerializedSize());
+    entry.SerializeInto(ser);
   }
   return ser.Release();
 }
@@ -38,13 +47,35 @@ std::vector<LogEntry> DecodeBatch(const std::string& blob) {
 
 }  // namespace
 
+struct BatchingEngine::Pacing {
+  std::mutex mu;
+  // Signalled when `flushers` drops to zero; the destructor waits on it.
+  std::condition_variable idle;
+  // The engine while it lives. The destructor detaches it, after which a
+  // settling batch releases only its own waiters.
+  BatchingEngine* engine = nullptr;
+  Batch open;
+  // Serialized bytes of the open batch's sub-entries.
+  size_t open_bytes = 0;
+  // Injected-clock time the open batch received its first entry (0 when no
+  // batch is open); HealthCheck's queue-age verdict reads it.
+  int64_t open_since_micros = 0;
+  // Batches proposed downstream whose futures have not settled.
+  size_t in_flight = 0;
+  // Threads inside FlushDue's downstream propose. Each re-checks for a due
+  // batch when it is back, so a settling batch need not start another.
+  size_t flushers = 0;
+};
+
 BatchingEngine::BatchingEngine(Options options, IEngine* downstream, LocalStore* store)
     : StackableEngine(kEngineName, downstream, store,
                       StackableEngineOptions{options.start_enabled}),
-      options_(options) {
+      options_(options),
+      pacing_(std::make_shared<Pacing>()) {
   if (options_.clock == nullptr) {
     options_.clock = RealClock::Instance();
   }
+  pacing_->engine = this;
 }
 
 void BatchingEngine::OnProbeAttached(const Probe& probe) {
@@ -52,11 +83,18 @@ void BatchingEngine::OnProbeAttached(const Probe& probe) {
 }
 
 BatchingEngine::~BatchingEngine() {
-  // Flush whatever is pending so waiters are not left hanging.
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!batch_entries_.empty()) {
-    FlushLocked(lock);
+  std::unique_lock<std::mutex> lock(pacing_->mu);
+  // Detach, then wait out any flush in progress: from here on no settling
+  // batch reaches this engine. Whatever is still open is proposed once more
+  // so its waiters are not left hanging.
+  pacing_->engine = nullptr;
+  pacing_->idle.wait(lock, [this] { return pacing_->flushers == 0; });
+  if (pacing_->open.entries.empty()) {
+    return;
   }
+  Batch batch = TakeOpenBatch();
+  lock.unlock();
+  ProposeBatch(std::move(batch));
 }
 
 Future<std::any> BatchingEngine::Propose(LogEntry entry) {
@@ -74,48 +112,57 @@ Future<std::any> BatchingEngine::Propose(LogEntry entry) {
   waiter.promise = std::make_shared<Promise<std::any>>();
   Future<std::any> future = waiter.promise->GetFuture();
   waiter.frame = ProposeFrame(probe(), &entry);
-  std::unique_lock<std::mutex> lock(mu_);
-  batch_entries_.push_back(std::move(entry));
-  batch_waiters_.push_back(std::move(waiter));
-  if (batch_entries_.size() == 1) {
-    open_batch_since_micros_ = options_.clock->NowMicros();
+  const size_t bytes = entry.SerializedSize();
+  std::unique_lock<std::mutex> lock(pacing_->mu);
+  Pacing& pacing = *pacing_;
+  if (pacing.open.entries.empty()) {
+    pacing.open_since_micros = options_.clock->NowMicros();
   }
+  pacing.open.entries.push_back(std::move(entry));
+  pacing.open.waiters.push_back(std::move(waiter));
+  pacing.open_bytes += bytes;
   if (queue_depth_gauge_ != nullptr) {
-    queue_depth_gauge_->Set(static_cast<int64_t>(batch_entries_.size()));
+    queue_depth_gauge_->Set(static_cast<int64_t>(pacing.open.entries.size()));
   }
-  if (batch_entries_.size() >= options_.max_batch_entries) {
-    FlushLocked(lock);
-    return future;
-  }
-  if (batch_entries_.size() == 1) {
-    // First entry of a new batch: arm the delay timer.
-    const uint64_t ticket = batch_ticket_;
-    scheduler_.Schedule(options_.max_delay_micros, [this, ticket] {
-      std::unique_lock<std::mutex> timer_lock(mu_);
-      if (batch_ticket_ == ticket && !batch_entries_.empty()) {
-        FlushLocked(timer_lock);
-      }
-    });
-  }
+  FlushDue(lock);
   return future;
 }
 
-void BatchingEngine::FlushLocked(std::unique_lock<std::mutex>& lock) {
-  std::vector<LogEntry> entries;
-  std::vector<Waiter> waiters;
-  entries.swap(batch_entries_);
-  waiters.swap(batch_waiters_);
-  batch_ticket_ += 1;
-  open_batch_since_micros_ = 0;
+void BatchingEngine::FlushDue(std::unique_lock<std::mutex>& lock) {
+  Pacing& pacing = *pacing_;
+  while (pacing.engine != nullptr && !pacing.open.entries.empty() &&
+         (pacing.in_flight == 0 || pacing.open.entries.size() >= options_.max_batch_entries ||
+          pacing.open_bytes >= kMaxBatchBytes)) {
+    Batch batch = TakeOpenBatch();
+    ++pacing.flushers;
+    lock.unlock();
+    ProposeBatch(std::move(batch));
+    lock.lock();
+    if (--pacing.flushers == 0) {
+      pacing.idle.notify_all();
+    }
+  }
+}
+
+BatchingEngine::Batch BatchingEngine::TakeOpenBatch() {
+  Pacing& pacing = *pacing_;
+  Batch batch = std::exchange(pacing.open, Batch{});
+  pacing.open_bytes = 0;
+  pacing.open_since_micros = 0;
+  pacing.in_flight += 1;
   if (queue_depth_gauge_ != nullptr) {
     queue_depth_gauge_->Set(0);
   }
-  lock.unlock();
+  return batch;
+}
 
+void BatchingEngine::ProposeBatch(Batch batch) {
+  std::vector<LogEntry>& entries = batch.entries;
+  std::vector<Waiter>& waiters = batch.waiters;
   batches_proposed_.fetch_add(1, std::memory_order_relaxed);
   entries_batched_.fetch_add(entries.size(), std::memory_order_relaxed);
 
-  LogEntry batch = MakeControlEntry(name(), kMsgTypeBatch, EncodeBatch(entries));
+  LogEntry entry = MakeControlEntry(name(), kMsgTypeBatch, EncodeBatch(entries));
   // Stamp the batch with the union of the constituents' client ids (exactly
   // like trace ids below): the shared append downstream attributes to every
   // proposing client.
@@ -129,7 +176,7 @@ void BatchingEngine::FlushLocked(std::unique_lock<std::mutex>& lock) {
   merged_clients.erase(std::unique(merged_clients.begin(), merged_clients.end()),
                        merged_clients.end());
   if (!merged_clients.empty()) {
-    SetClientIds(&batch, merged_clients);
+    SetClientIds(&entry, merged_clients);
   }
   Tracer* tracer = probe().tracer;
   if (tracer != nullptr) {
@@ -145,12 +192,22 @@ void BatchingEngine::FlushLocked(std::unique_lock<std::mutex>& lock) {
                     waiter.frame.trace_ids().end());
     }
     if (!merged.empty()) {
-      SetTraceIds(&batch, merged);
+      SetTraceIds(&entry, merged);
     }
   }
   downstream()
-      ->Propose(std::move(batch))
-      .Then([waiters = std::move(waiters), tracer](Result<std::any> result) {
+      ->Propose(std::move(entry))
+      .Then([pacing = pacing_, waiters = std::move(waiters), tracer](Result<std::any> result) {
+        {
+          // Release the pacing first: when this was the last batch in
+          // flight, the open batch goes downstream now. A flusher already
+          // inside FlushDue re-checks on its own.
+          std::unique_lock<std::mutex> lock(pacing->mu);
+          pacing->in_flight -= 1;
+          if (pacing->engine != nullptr && pacing->flushers == 0) {
+            pacing->engine->FlushDue(lock);
+          }
+        }
         const std::vector<std::any>* batch_results = nullptr;
         if (result.ok()) {
           batch_results = &std::any_cast<const std::vector<std::any>&>(result.value());
@@ -188,16 +245,15 @@ void BatchingEngine::FlushLocked(std::unique_lock<std::mutex>& lock) {
           }
         }
       });
-  lock.lock();
 }
 
 HealthReport BatchingEngine::HealthCheck() const {
   int64_t since;
   int64_t depth;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    since = open_batch_since_micros_;
-    depth = static_cast<int64_t>(batch_entries_.size());
+    std::lock_guard<std::mutex> lock(pacing_->mu);
+    since = pacing_->open_since_micros;
+    depth = static_cast<int64_t>(pacing_->open.entries.size());
   }
   HealthReport report{name(), HealthState::kOk, "", depth};
   if (depth == 0 || since == 0) {
@@ -207,12 +263,12 @@ HealthReport BatchingEngine::HealthCheck() const {
   if (age >= kQueueUnhealthyMicros) {
     report.state = HealthState::kUnhealthy;
     report.reason = "open batch stuck " + std::to_string(age) + "us (" + std::to_string(depth) +
-                    " entries; flush timer or downstream wedged)";
+                    " entries) behind an in-flight batch; downstream wedged";
     report.value = age;
   } else if (age >= kQueueDegradedMicros) {
     report.state = HealthState::kDegraded;
     report.reason = "open batch aged " + std::to_string(age) + "us (" + std::to_string(depth) +
-                    " entries)";
+                    " entries) behind an in-flight batch";
     report.value = age;
   }
   return report;

@@ -8,16 +8,21 @@
 // BaseEngine would open a transaction per sub-entry, or batching in the
 // database, which each application would have to re-implement.
 //
-// A batch is flushed when it reaches `max_batch_entries` or when the oldest
-// entry has waited `max_delay_micros` (the accumulation latency visible in
-// the Figure 11 dashboard).
+// The log paces the batches (group commit), so the batch size follows the
+// load rather than a clock:
+//  * a proposal that finds no batch in flight flushes at once, so a lone
+//    writer pays no accumulation delay;
+//  * an open batch that reaches `max_batch_entries` entries or
+//    `kMaxBatchBytes` serialized bytes flushes at once, even while other
+//    batches are in flight;
+//  * any other open batch waits, and flushes when the last in-flight batch's
+//    downstream future settles (with a value or an error).
 #pragma once
 
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include "src/common/scheduler.h"
 #include "src/core/stackable_engine.h"
 
 namespace delos {
@@ -26,19 +31,22 @@ class BatchingEngine : public StackableEngine {
  public:
   struct Options {
     size_t max_batch_entries = 64;
-    int64_t max_delay_micros = 500;
     bool start_enabled = true;
-    // Clock for health math (open-batch age). Defaults to RealClock; the
-    // flush timer itself stays on the TimerScheduler.
+    // Clock for health math (open-batch age). Defaults to RealClock.
     Clock* clock = nullptr;
   };
+
+  // An open batch whose sub-entries serialize to at least this many bytes
+  // flushes without waiting for the in-flight batches.
+  static constexpr size_t kMaxBatchBytes = 1 << 20;
 
   BatchingEngine(Options options, IEngine* downstream, LocalStore* store);
   ~BatchingEngine() override;
 
   Future<std::any> Propose(LogEntry entry) override;
 
-  // Judges the age of the open batch (soft state under mu_).
+  // Judges the age of the open batch. An open batch waits only on an
+  // in-flight batch, so an old one means the downstream is wedged.
   HealthReport HealthCheck() const override;
 
   uint64_t batches_proposed() const { return batches_proposed_.load(std::memory_order_relaxed); }
@@ -60,22 +68,31 @@ class BatchingEngine : public StackableEngine {
     ProposeFrame frame;
   };
 
-  void FlushLocked(std::unique_lock<std::mutex>& lock);
+  struct Batch {
+    std::vector<LogEntry> entries;
+    std::vector<Waiter> waiters;
+  };
+
+  // The open batch and the in-flight count, shared with the completion
+  // callbacks of in-flight batches (which may outlive the engine).
+  struct Pacing;
+
+  // Proposes the open batch for as long as one is due. Called and returns
+  // with the pacing lock held.
+  void FlushDue(std::unique_lock<std::mutex>& lock);
+  // Moves the open batch out and counts it in flight (pacing lock held).
+  Batch TakeOpenBatch();
+  // Proposes one batch downstream; its completion releases the pacing and
+  // settles the waiters.
+  void ProposeBatch(Batch batch);
 
   Options options_;
   // Live queue depth ("how full is the open batch right now"), null without
   // a registry.
   Gauge* queue_depth_gauge_ = nullptr;
-  mutable std::mutex mu_;
-  std::vector<LogEntry> batch_entries_;
-  std::vector<Waiter> batch_waiters_;
-  uint64_t batch_ticket_ = 0;  // identifies the open batch for the timer
-  // Injected-clock time the open batch received its first entry (0 when no
-  // batch is open); HealthCheck's queue-age verdict reads it under mu_.
-  int64_t open_batch_since_micros_ = 0;
+  std::shared_ptr<Pacing> pacing_;
   std::atomic<uint64_t> batches_proposed_{0};
   std::atomic<uint64_t> entries_batched_{0};
-  TimerScheduler scheduler_;
 
   // Apply-thread-only scratch parked per position: decoded sub-entries of an
   // applied batch and whether each sub-apply ran (for postApply forwarding).

@@ -106,7 +106,6 @@ void BuildStack(ClusterServer& server, const StackConfig& config) {
   if (config.batching) {
     BatchingEngine::Options options;
     options.max_batch_entries = config.batch_max_entries;
-    options.max_delay_micros = config.batch_max_delay_micros;
     options.clock = config.clock;
     server.AddEngine<BatchingEngine>(options);
     add_observer("batching");

@@ -44,7 +44,6 @@ struct StackConfig {
   BackupStore* backup_store = nullptr;
   uint64_t backup_segment_size = 64;
   size_t batch_max_entries = 64;
-  int64_t batch_max_delay_micros = 500;
   int64_t lease_ttl_micros = 500'000;
   int64_t lease_guard_epsilon_micros = 50'000;
   int64_t eject_after_micros = 0;

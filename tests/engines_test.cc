@@ -2,8 +2,12 @@
 // BatchingEngine.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <deque>
+#include <mutex>
 #include <thread>
 
+#include "src/common/serde.h"
 #include "src/core/base_engine.h"
 #include "src/engines/batching_engine.h"
 #include "src/engines/brain_doctor_engine.h"
@@ -21,12 +25,37 @@ class CountingApplicator : public IApplicator {
     if (entry.payload == "fail") {
       throw DeterministicError("requested failure");
     }
+    if (entry.payload == "hold") {
+      // Keeps the entry's batch in flight until the test opens the gate.
+      std::unique_lock<std::mutex> lock(gate_mu_);
+      holding_ = true;
+      gate_cv_.notify_all();
+      gate_cv_.wait(lock, [this] { return gate_open_; });
+    }
     return std::any(std::string("r:") + entry.payload);
   }
   int applies() const { return applies_; }
 
+  // Blocks until a "hold" entry's apply waits on the gate.
+  void WaitUntilHolding() {
+    std::unique_lock<std::mutex> lock(gate_mu_);
+    gate_cv_.wait(lock, [this] { return holding_; });
+  }
+
+  void OpenGate() {
+    {
+      std::lock_guard<std::mutex> lock(gate_mu_);
+      gate_open_ = true;
+    }
+    gate_cv_.notify_all();
+  }
+
  private:
   int applies_ = 0;
+  std::mutex gate_mu_;
+  std::condition_variable gate_cv_;
+  bool holding_ = false;
+  bool gate_open_ = false;
 };
 
 LogEntry PayloadEntry(std::string payload) {
@@ -246,18 +275,22 @@ TEST(BrainDoctorTest, RawWritesApplyOnAllReplicas) {
 
 // --- BatchingEngine ---
 
+// A "hold" proposal flushes at once (nothing is in flight) and its apply
+// blocks until OpenGate, so the proposals after it accumulate behind a batch
+// that stays in flight.
 struct BatchServer {
-  explicit BatchServer(std::shared_ptr<ISharedLog> log, size_t max_entries = 8,
-                       int64_t max_delay = 2000) {
+  explicit BatchServer(std::shared_ptr<ISharedLog> log, size_t max_entries = 8) {
     base = std::make_unique<BaseEngine>(std::move(log), &store, BaseEngineOptions{});
     BatchingEngine::Options options;
     options.max_batch_entries = max_entries;
-    options.max_delay_micros = max_delay;
     batching = std::make_unique<BatchingEngine>(options, base.get(), &store);
     batching->RegisterUpcall(&app);
     base->Start();
   }
-  ~BatchServer() { base->Stop(); }
+  ~BatchServer() {
+    app.OpenGate();
+    base->Stop();
+  }
 
   LocalStore store;
   CountingApplicator app;
@@ -267,27 +300,31 @@ struct BatchServer {
 
 TEST(BatchingTest, ManyProposalsShareLogEntries) {
   auto log = std::make_shared<InMemoryLog>();
-  BatchServer server(log, /*max_entries=*/8, /*max_delay=*/50'000);
+  BatchServer server(log, /*max_entries=*/8);
 
+  Future<std::any> held = server.batching->Propose(PayloadEntry("hold"));
   constexpr int kOps = 32;
   std::vector<Future<std::any>> futures;
   futures.reserve(kOps);
   for (int i = 0; i < kOps; ++i) {
     futures.push_back(server.batching->Propose(PayloadEntry("op" + std::to_string(i))));
   }
+  server.app.OpenGate();
+  EXPECT_EQ(std::any_cast<std::string>(held.Get()), "r:hold");
   for (int i = 0; i < kOps; ++i) {
     EXPECT_EQ(std::any_cast<std::string>(futures[i].Get()), "r:op" + std::to_string(i));
   }
-  // 32 ops at batch size 8 -> exactly 4 log entries (all proposals were
-  // issued before any flush completed).
-  EXPECT_EQ(log->CheckTail().Get(), 5u);
-  EXPECT_EQ(server.app.applies(), kOps);
-  EXPECT_EQ(server.batching->entries_batched(), static_cast<uint64_t>(kOps));
+  // The held entry alone, then 32 ops at batch size 8 -> exactly 4 more log
+  // entries (every op was proposed while the held batch was in flight).
+  EXPECT_EQ(log->CheckTail().Get(), 6u);
+  EXPECT_EQ(server.app.applies(), kOps + 1);
+  EXPECT_EQ(server.batching->batches_proposed(), 5u);
+  EXPECT_EQ(server.batching->entries_batched(), static_cast<uint64_t>(kOps + 1));
 }
 
-TEST(BatchingTest, DelayTimerFlushesPartialBatch) {
+TEST(BatchingTest, LoneProposalFlushesAtOnce) {
   auto log = std::make_shared<InMemoryLog>();
-  BatchServer server(log, /*max_entries=*/100, /*max_delay=*/1000);
+  BatchServer server(log, /*max_entries=*/100);
   EXPECT_EQ(std::any_cast<std::string>(server.batching->Propose(PayloadEntry("solo")).Get()),
             "r:solo");
   EXPECT_EQ(server.batching->batches_proposed(), 1u);
@@ -295,18 +332,23 @@ TEST(BatchingTest, DelayTimerFlushesPartialBatch) {
 
 TEST(BatchingTest, ErrorsInsideBatchAreIsolated) {
   auto log = std::make_shared<InMemoryLog>();
-  BatchServer server(log, /*max_entries=*/3, /*max_delay=*/50'000);
+  BatchServer server(log, /*max_entries=*/3);
+  Future<std::any> held = server.batching->Propose(PayloadEntry("hold"));
   Future<std::any> f1 = server.batching->Propose(PayloadEntry("ok1"));
   Future<std::any> f2 = server.batching->Propose(PayloadEntry("fail"));
   Future<std::any> f3 = server.batching->Propose(PayloadEntry("ok2"));
+  server.app.OpenGate();
+  held.Get();
   EXPECT_EQ(std::any_cast<std::string>(f1.Get()), "r:ok1");
   EXPECT_THROW(f2.Get(), DeterministicError);
   EXPECT_EQ(std::any_cast<std::string>(f3.Get()), "r:ok2");
+  // The three shared one batch.
+  EXPECT_EQ(server.batching->batches_proposed(), 2u);
 }
 
 TEST(BatchingTest, DisabledBatchingPassesThrough) {
   auto log = std::make_shared<InMemoryLog>();
-  BatchServer server(log, /*max_entries=*/8, /*max_delay=*/50'000);
+  BatchServer server(log, /*max_entries=*/8);
   server.batching->DisableViaLog();
   server.batching->Propose(PayloadEntry("direct")).Get();
   // Disable control entry + the direct entry = 2; no batch wrapping.
@@ -316,17 +358,204 @@ TEST(BatchingTest, DisabledBatchingPassesThrough) {
 
 TEST(BatchingTest, GroupCommitUsesOneTransactionPerBatch) {
   auto log = std::make_shared<InMemoryLog>();
-  BatchServer server(log, /*max_entries=*/8, /*max_delay=*/50'000);
+  BatchServer server(log, /*max_entries=*/8);
   const uint64_t version_before = server.store.committed_version();
+  Future<std::any> held = server.batching->Propose(PayloadEntry("hold"));
+  // The held entry's transaction is open before the batch is appended, so
+  // the apply thread cannot fold the two into one group commit.
+  server.app.WaitUntilHolding();
   std::vector<Future<std::any>> futures;
   for (int i = 0; i < 8; ++i) {
     futures.push_back(server.batching->Propose(PayloadEntry("op")));
   }
+  server.app.OpenGate();
+  held.Get();
   for (auto& future : futures) {
     future.Get();
   }
-  // One LocalStore commit for the whole batch (group commit), not eight.
-  EXPECT_EQ(server.store.committed_version(), version_before + 1);
+  // One LocalStore commit for the held entry and one for the whole batch of
+  // eight (group commit), not nine.
+  EXPECT_EQ(server.store.committed_version(), version_before + 2);
+}
+
+// Group-commit pacing, driven by a downstream whose proposals stay in flight
+// until the test settles them. Everything runs on the test thread: a batch's
+// completion flushes the next one inline, so each step is observable at
+// once, with no sleeps.
+class ScriptedDownstream : public IEngine {
+ public:
+  Future<std::any> Propose(LogEntry entry) override {
+    proposed_.push_back(std::move(entry));
+    // A deque: settling one promise can propose the next batch inline,
+    // and the promise being settled must stay put.
+    promises_.emplace_back();
+    return promises_.back().GetFuture();
+  }
+  Future<ROTxn> Sync() override {
+    return MakeErrorFuture<ROTxn>(std::make_exception_ptr(LogUnavailableError("scripted")));
+  }
+  void RegisterUpcall(IApplicator* applicator) override {}
+  void SetTrimPrefix(LogPos pos) override {}
+
+  size_t proposed() const { return proposed_.size(); }
+  // The batch blob of the i-th proposal.
+  std::string Blob(size_t i) const { return proposed_.at(i).GetHeader("batching")->blob; }
+  // Sub-entries in the i-th proposed batch.
+  size_t BatchSize(size_t i) const {
+    const std::string blob = Blob(i);
+    Deserializer de(blob);
+    return de.ReadVarint();
+  }
+  // Settles the i-th batch with one result per sub-entry.
+  void Succeed(size_t i) {
+    std::vector<std::any> results(BatchSize(i), std::any(std::string("done")));
+    promises_.at(i).SetValue(std::any(std::move(results)));
+  }
+  void Fail(size_t i) {
+    promises_.at(i).SetException(std::make_exception_ptr(LogUnavailableError("scripted")));
+  }
+
+ private:
+  std::vector<LogEntry> proposed_;
+  std::deque<Promise<std::any>> promises_;
+};
+
+struct PacedBatcher {
+  explicit PacedBatcher(size_t max_entries) {
+    BatchingEngine::Options options;
+    options.max_batch_entries = max_entries;
+    batching = std::make_unique<BatchingEngine>(options, &downstream, &store);
+  }
+
+  LocalStore store;
+  ScriptedDownstream downstream;
+  std::unique_ptr<BatchingEngine> batching;
+};
+
+TEST(BatchingPacingTest, LoneProposalReachesDownstreamSynchronously) {
+  PacedBatcher b(/*max_entries=*/64);
+  Future<std::any> f = b.batching->Propose(PayloadEntry("solo"));
+  ASSERT_EQ(b.downstream.proposed(), 1u);
+  EXPECT_EQ(b.downstream.BatchSize(0), 1u);
+  EXPECT_FALSE(f.IsReady());
+  b.downstream.Succeed(0);
+  EXPECT_EQ(std::any_cast<std::string>(f.Get()), "done");
+}
+
+TEST(BatchingPacingTest, ProposalsAccumulateWhileABatchIsInFlight) {
+  PacedBatcher b(/*max_entries=*/64);
+  Future<std::any> first = b.batching->Propose(PayloadEntry("a"));
+  std::vector<Future<std::any>> rest;
+  for (int i = 0; i < 5; ++i) {
+    rest.push_back(b.batching->Propose(PayloadEntry("b" + std::to_string(i))));
+  }
+  EXPECT_EQ(b.downstream.proposed(), 1u);
+  EXPECT_EQ(b.batching->HealthCheck().value, 5);  // open-batch depth
+
+  b.downstream.Succeed(0);
+  EXPECT_TRUE(first.IsReady());
+  ASSERT_EQ(b.downstream.proposed(), 2u);
+  EXPECT_EQ(b.downstream.BatchSize(1), 5u);
+  for (const auto& f : rest) {
+    EXPECT_FALSE(f.IsReady());
+  }
+  b.downstream.Succeed(1);
+  for (const auto& f : rest) {
+    EXPECT_EQ(std::any_cast<std::string>(f.Get()), "done");
+  }
+  EXPECT_EQ(b.batching->batches_proposed(), 2u);
+  EXPECT_EQ(b.batching->entries_batched(), 6u);
+}
+
+TEST(BatchingPacingTest, FullCapFlushesWhileABatchIsInFlight) {
+  PacedBatcher b(/*max_entries=*/4);
+  b.batching->Propose(PayloadEntry("a"));
+  for (int i = 0; i < 3; ++i) {
+    b.batching->Propose(PayloadEntry("b"));
+  }
+  EXPECT_EQ(b.downstream.proposed(), 1u);
+  b.batching->Propose(PayloadEntry("b"));  // the fourth fills the cap
+  ASSERT_EQ(b.downstream.proposed(), 2u);
+  EXPECT_EQ(b.downstream.BatchSize(1), 4u);
+
+  // The byte cap flushes the same way: one oversized entry goes at once.
+  b.batching->Propose(PayloadEntry(std::string(BatchingEngine::kMaxBatchBytes, 'x')));
+  ASSERT_EQ(b.downstream.proposed(), 3u);
+  EXPECT_EQ(b.downstream.BatchSize(2), 1u);
+  b.downstream.Succeed(0);
+  b.downstream.Succeed(1);
+  b.downstream.Succeed(2);
+}
+
+TEST(BatchingPacingTest, PartialBatchFlushesOnlyWhenTheLastInFlightBatchSettles) {
+  PacedBatcher b(/*max_entries=*/2);
+  b.batching->Propose(PayloadEntry("a"));  // batch 0
+  b.batching->Propose(PayloadEntry("b"));
+  b.batching->Propose(PayloadEntry("c"));  // batch 1, at the cap
+  Future<std::any> d = b.batching->Propose(PayloadEntry("d"));  // open, partial
+  ASSERT_EQ(b.downstream.proposed(), 2u);
+
+  b.downstream.Succeed(0);  // batch 1 is still in flight
+  EXPECT_EQ(b.downstream.proposed(), 2u);
+  b.downstream.Succeed(1);  // the last one settled
+  ASSERT_EQ(b.downstream.proposed(), 3u);
+  EXPECT_EQ(b.downstream.BatchSize(2), 1u);
+  EXPECT_FALSE(d.IsReady());
+  b.downstream.Succeed(2);
+  EXPECT_EQ(std::any_cast<std::string>(d.Get()), "done");
+}
+
+TEST(BatchingPacingTest, FailedBatchStillReleasesThePacing) {
+  PacedBatcher b(/*max_entries=*/64);
+  Future<std::any> a = b.batching->Propose(PayloadEntry("a"));
+  Future<std::any> c = b.batching->Propose(PayloadEntry("c"));
+  b.downstream.Fail(0);
+  EXPECT_THROW(a.Get(), LogUnavailableError);
+  ASSERT_EQ(b.downstream.proposed(), 2u);
+  b.downstream.Succeed(1);
+  EXPECT_EQ(std::any_cast<std::string>(c.Get()), "done");
+}
+
+TEST(BatchingPacingTest, DestroyingWithABatchInFlightIsClean) {
+  PacedBatcher b(/*max_entries=*/64);
+  Future<std::any> a = b.batching->Propose(PayloadEntry("a"));
+  Future<std::any> c = b.batching->Propose(PayloadEntry("c"));
+  Future<std::any> d = b.batching->Propose(PayloadEntry("d"));
+  b.batching.reset();
+  // The destructor proposed the open batch rather than strand its waiters.
+  ASSERT_EQ(b.downstream.proposed(), 2u);
+  EXPECT_EQ(b.downstream.BatchSize(1), 2u);
+  // Both settle after the engine is gone: the completions touch only the
+  // shared pacing state and their own waiters.
+  b.downstream.Succeed(0);
+  b.downstream.Fail(1);
+  EXPECT_EQ(std::any_cast<std::string>(a.Get()), "done");
+  EXPECT_THROW(c.Get(), LogUnavailableError);
+  EXPECT_THROW(d.Get(), LogUnavailableError);
+}
+
+TEST(BatchingPacingTest, EncodedBatchMatchesPerEntrySerialization) {
+  PacedBatcher b(/*max_entries=*/3);
+  b.batching->Propose(PayloadEntry("held"));
+  std::vector<LogEntry> entries;
+  for (int i = 0; i < 3; ++i) {
+    LogEntry entry = PayloadEntry(std::string(40 * i + 1, static_cast<char>('a' + i)));
+    entry.SetHeader("sessionorder", EngineHeader{kMsgTypeApp, std::string(300, 's')});
+    entry.SetHeader("zz" + std::to_string(i), EngineHeader{7, "blob"});
+    entries.push_back(entry);
+    b.batching->Propose(std::move(entry));
+  }
+  ASSERT_EQ(b.downstream.proposed(), 2u);
+  // The encoding before SerializeInto: each entry serialized to its own
+  // string, then length-prefixed into the batch.
+  Serializer reference;
+  reference.WriteVarint(entries.size());
+  for (const LogEntry& entry : entries) {
+    reference.WriteString(entry.Serialize());
+  }
+  EXPECT_EQ(b.downstream.Blob(1), reference.buffer());
+  b.downstream.Succeed(0);
+  b.downstream.Succeed(1);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Health-plane unit tests: the windowed time-series store, Prometheus
-// exposition hygiene, and the Watchdog's transition bookkeeping.
+// exposition hygiene, the Watchdog's transition bookkeeping, and engine
+// verdicts.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <regex>
 #include <string>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "src/common/metrics_ts.h"
 #include "src/common/trace.h"
 #include "src/core/health.h"
+#include "src/engines/batching_engine.h"
 
 namespace delos {
 namespace {
@@ -378,6 +381,54 @@ TEST(WatchdogTest, BackgroundThreadEvaluatesOnCadence) {
   watchdog.Stop();
   EXPECT_GE(watchdog.evaluations(), 3u);
   EXPECT_EQ(watchdog.aggregate(), HealthState::kOk);
+}
+
+// --- Engine verdicts ---
+
+// A downstream whose proposals never settle while it lives.
+class WedgedDownstream : public IEngine {
+ public:
+  Future<std::any> Propose(LogEntry entry) override {
+    promises_.emplace_back();
+    return promises_.back().GetFuture();
+  }
+  Future<ROTxn> Sync() override {
+    return MakeErrorFuture<ROTxn>(std::make_exception_ptr(LogUnavailableError("wedged")));
+  }
+  void RegisterUpcall(IApplicator* applicator) override {}
+  void SetTrimPrefix(LogPos pos) override {}
+
+ private:
+  std::deque<Promise<std::any>> promises_;
+};
+
+TEST(EngineHealthTest, BatchBehindAWedgedDownstreamDegradesThenTurnsUnhealthy) {
+  SimClock clock(1'000'000);
+  LocalStore store;
+  WedgedDownstream downstream;
+  BatchingEngine::Options options;
+  options.clock = &clock;
+  BatchingEngine batching(options, &downstream, &store);
+  LogEntry first;
+  first.payload = "in flight forever";
+  batching.Propose(std::move(first));
+  LogEntry second;
+  second.payload = "waits behind it";
+  batching.Propose(std::move(second));
+  EXPECT_EQ(batching.HealthCheck().state, HealthState::kOk);
+
+  clock.Advance(100'000);
+  const HealthReport degraded = batching.HealthCheck();
+  EXPECT_EQ(degraded.state, HealthState::kDegraded);
+  EXPECT_EQ(degraded.reason, "open batch aged 100000us (1 entries) behind an in-flight batch");
+
+  clock.Advance(900'000);
+  const HealthReport unhealthy = batching.HealthCheck();
+  EXPECT_EQ(unhealthy.state, HealthState::kUnhealthy);
+  EXPECT_EQ(unhealthy.reason,
+            "open batch stuck 1000000us (1 entries) behind an in-flight batch; downstream "
+            "wedged");
+  EXPECT_EQ(unhealthy.value, 1'000'000);
 }
 
 }  // namespace

@@ -273,7 +273,6 @@ TEST(DeterminismProperty, RandomTrafficLeavesIdenticalReplicas) {
     config.session_order = true;
     config.batching = true;
     config.batch_max_entries = 4;
-    config.batch_max_delay_micros = 200;
     BuildStack(server, config);
     auto app = std::make_unique<zelos::ZelosApplicator>();
     server.RegisterApplicator(app.get());

@@ -49,7 +49,6 @@ TEST_P(ConvergenceUnderChaos, WriterAndFollowerAgree) {
       if (p.batching) {
         BatchingEngine::Options batch_options;
         batch_options.max_batch_entries = p.batch_size;
-        batch_options.max_delay_micros = 200;
         batching = std::make_unique<BatchingEngine>(batch_options, top, &store);
         top = batching.get();
       }

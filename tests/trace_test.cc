@@ -208,6 +208,21 @@ TEST(SimTraceReplay, TraceIsByteIdenticalAcrossReplaysOfOneSchedule) {
 
 // --- One id parse per record, every id kept ---
 
+// Blocks the apply of a "hold" entry until `gate` settles.
+class GatedApplicator : public IApplicator {
+ public:
+  explicit GatedApplicator(Future<Unit> gate) : gate_(std::move(gate)) {}
+  std::any Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) override {
+    if (entry.payload == "hold") {
+      gate_.Get();
+    }
+    return std::any(Unit{});
+  }
+
+ private:
+  Future<Unit> gate_;
+};
+
 // A full batch carries one trace id per constituent, past the id parser's
 // inline buffer; the batch's single apply must still record a base.apply
 // span for every one of them.
@@ -219,7 +234,8 @@ TEST(TraceIdParsing, BatchOfSixtyFourTracedSubEntriesYieldsEveryBaseApplySpan) {
   Cluster::Options options;
   options.num_servers = 1;
   options.base_options.tracer = &tracer;
-  std::vector<std::unique_ptr<NoopApplicator>> apps;
+  Promise<Unit> release;
+  std::unique_ptr<GatedApplicator> app;
   BatchingEngine* batching = nullptr;
   Cluster cluster(options, [&](ClusterServer& server) {
     StackConfig config;
@@ -228,23 +244,26 @@ TEST(TraceIdParsing, BatchOfSixtyFourTracedSubEntriesYieldsEveryBaseApplySpan) {
     config.digest = false;
     config.batching = true;
     config.batch_max_entries = 64;
-    config.batch_max_delay_micros = 60'000'000;  // flush on size only
     BuildStack(server, config);
     batching = dynamic_cast<BatchingEngine*>(server.FindEngine("batching"));
-    apps.push_back(std::make_unique<NoopApplicator>());
-    server.RegisterApplicator(apps.back().get());
+    app = std::make_unique<GatedApplicator>(release.GetFuture());
+    server.RegisterApplicator(app.get());
   });
   ASSERT_NE(batching, nullptr);
+  // The held entry flushes alone (nothing is in flight) and stays in flight
+  // until released, so the 64 after it form one full batch.
   std::vector<Future<std::any>> futures;
+  futures.push_back(cluster.server(0).top()->Propose(PayloadEntry("hold")));
   for (int i = 0; i < 64; ++i) {
     futures.push_back(cluster.server(0).top()->Propose(PayloadEntry("v" + std::to_string(i))));
   }
+  release.SetValue(Unit{});
   for (auto& future : futures) {
     future.Get();
   }
-  EXPECT_EQ(batching->batches_proposed(), 1u);
-  ASSERT_EQ(tracer.last_trace_id(), 64u);
-  for (uint64_t id = 1; id <= 64; ++id) {
+  EXPECT_EQ(batching->batches_proposed(), 2u);
+  ASSERT_EQ(tracer.last_trace_id(), 65u);
+  for (uint64_t id = 1; id <= 65; ++id) {
     int base_applies = 0;
     for (const TraceSpan& span : tracer.Collect(id)) {
       base_applies += span.name == "base.apply" ? 1 : 0;

@@ -247,7 +247,6 @@ TEST(ZelosStackTest, ThreeServerConvergenceUnderChaoticLog) {
         std::make_unique<SessionOrderEngine>(so_options, server->base.get(), &server->store);
     BatchingEngine::Options batch_options;
     batch_options.max_batch_entries = 4;
-    batch_options.max_delay_micros = 300;
     server->batching =
         std::make_unique<BatchingEngine>(batch_options, server->so.get(), &server->store);
     server->batching->RegisterUpcall(&server->app);
