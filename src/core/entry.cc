@@ -14,6 +14,20 @@ EngineHeaderView DecodeHeaderView(std::string_view bytes) {
   return header;
 }
 
+// Walks Serialize()'s format: add(name, bytes) per header, then returns the
+// payload. The views borrow from `bytes`. Headers arrive in map order, so an
+// insert at the end hint is O(1).
+template <typename AddHeader>
+std::string_view ParseEntry(std::string_view bytes, AddHeader add) {
+  Deserializer de(bytes);
+  const uint64_t count = de.ReadVarint();
+  for (uint64_t i = 0; i < count; ++i) {
+    std::string_view name = de.ReadStringView();
+    add(name, de.ReadStringView());
+  }
+  return de.ReadStringView();
+}
+
 }  // namespace
 
 std::string LogEntry::Serialize() const {
@@ -38,7 +52,11 @@ size_t LogEntry::SerializedSize() const {
 }
 
 LogEntry LogEntry::Deserialize(std::string_view bytes) {
-  return LogEntryView::Parse(bytes).Materialize();
+  LogEntry entry;
+  entry.payload = ParseEntry(bytes, [&](std::string_view name, std::string_view value) {
+    entry.headers.emplace_hint(entry.headers.end(), name, value);
+  });
+  return entry;
 }
 
 void LogEntry::SetHeader(const std::string& engine, const EngineHeader& header) {
@@ -65,15 +83,10 @@ std::optional<EngineHeaderView> LogEntry::GetHeaderView(std::string_view engine)
 }
 
 LogEntryView LogEntryView::Parse(std::string_view bytes) {
-  Deserializer de(bytes);
   LogEntryView view;
-  const uint64_t count = de.ReadVarint();
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string_view name = de.ReadStringView();
-    std::string_view value = de.ReadStringView();
-    view.headers.emplace(name, value);
-  }
-  view.payload = de.ReadStringView();
+  view.payload = ParseEntry(bytes, [&](std::string_view name, std::string_view value) {
+    view.headers.emplace_hint(view.headers.end(), name, value);
+  });
   return view;
 }
 

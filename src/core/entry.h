@@ -52,6 +52,8 @@ struct LogEntry {
   void SerializeInto(Serializer& ser) const;
   // Exact encoded size of Serialize()'s output (used to right-size buffers).
   size_t SerializedSize() const;
+  // Decodes in one pass, copying `bytes` once. Throws SerdeError on
+  // malformed input.
   static LogEntry Deserialize(std::string_view bytes);
 
   void SetHeader(const std::string& engine, const EngineHeader& header);

@@ -34,13 +34,13 @@ std::string EncodeBatch(const std::vector<LogEntry>& entries) {
   return ser.Release();
 }
 
-std::vector<LogEntry> DecodeBatch(const std::string& blob) {
+std::vector<LogEntry> DecodeBatch(std::string_view blob) {
   Deserializer de(blob);
   const uint64_t count = de.ReadVarint();
   std::vector<LogEntry> entries;
   entries.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    entries.push_back(LogEntry::Deserialize(de.ReadString()));
+    entries.push_back(LogEntry::Deserialize(de.ReadStringView()));
   }
   return entries;
 }

@@ -304,7 +304,7 @@ void RWTxn::Commit() {
   }
   LocalStore* store = store_;
   try {
-    store->CommitBatch(ops_);
+    store->CommitBatch(ops_, write_index_);
   } catch (...) {
     // A failed commit still ends the transaction (and frees the writer
     // slot); the batch is lost.
@@ -367,7 +367,8 @@ ROTxn LocalStore::Snapshot() {
   return ROTxn(std::make_shared<internal::SnapshotHandle>(this, committed_version()));
 }
 
-void LocalStore::CommitBatch(std::vector<RWTxn::Op>& ops) {
+void LocalStore::CommitBatch(std::vector<RWTxn::Op>& ops,
+                             const std::map<std::string, size_t, std::less<>>& last_op) {
   if (fault_injected_.exchange(false, std::memory_order_acq_rel)) {
     throw StoreError("injected commit fault (out of space)");
   }
@@ -378,28 +379,26 @@ void LocalStore::CommitBatch(std::vector<RWTxn::Op>& ops) {
     std::lock_guard<std::mutex> snap_lock(snapshots_mu_);
     min_active = MinActiveSnapshotLocked();
   }
-  for (auto& op : ops) {
-    Chain& chain = data_[op.key];
-    // Maintain the live-content checksum.
-    std::optional<std::string> old_live;
-    if (!chain.empty()) {
-      old_live = chain.back().value;
+  const uint64_t compact_to = std::min(min_active, new_version);
+  // Only each key's last staged op is applied. Every op of the transaction
+  // writes new_version, so applying them one by one would overwrite a key's
+  // earlier ops in place: their checksum terms cancel, and compaction and
+  // the tombstone drop see only the final chain. Keys arrive in order, so
+  // each one is looked up once, from the previous key's position.
+  auto hint = data_.begin();
+  for (const auto& [key, index] : last_op) {
+    std::optional<std::string>& value = ops[index].value;
+    auto it = data_.try_emplace(hint, key);
+    Chain& chain = it->second;
+    if (!chain.empty() && chain.back().value.has_value()) {
+      checksum_.Remove(key, *chain.back().value);
     }
-    if (old_live.has_value()) {
-      checksum_.Remove(op.key, *old_live);
+    if (value.has_value()) {
+      checksum_.Add(key, *value);
     }
-    if (op.value.has_value()) {
-      checksum_.Add(op.key, *op.value);
-    }
-    if (!chain.empty() && chain.back().version == new_version) {
-      chain.back().value = std::move(op.value);
-    } else {
-      chain.push_back(VersionedValue{new_version, std::move(op.value)});
-    }
-    CompactChainLocked(op.key, chain, std::min(min_active, new_version));
-    if (data_[op.key].empty()) {
-      data_.erase(op.key);
-    }
+    chain.push_back(VersionedValue{new_version, std::move(value)});
+    CompactChainLocked(chain, compact_to);
+    hint = chain.empty() ? data_.erase(it) : std::next(it);
   }
   committed_version_.store(new_version, std::memory_order_release);
 }
@@ -414,7 +413,7 @@ std::optional<std::string> LocalStore::ValueAt(const Chain& chain, uint64_t vers
   return std::nullopt;
 }
 
-void LocalStore::CompactChainLocked(const std::string& key, Chain& chain, uint64_t min_active) {
+void LocalStore::CompactChainLocked(Chain& chain, uint64_t min_active) {
   // Keep the newest version <= min_active (some snapshot may read it) and
   // everything after; drop older ones. Drop a trailing tombstone nothing can
   // observe.

@@ -154,7 +154,8 @@ class RWTxn {
   LocalStore* store_ = nullptr;
   uint64_t base_version_ = 0;
   std::vector<Op> ops_;
-  // Latest op index per key, for read-your-writes.
+  // Latest op index per key, for read-your-writes; Commit applies only
+  // these ops.
   std::map<std::string, size_t, std::less<>> write_index_;
   // prev_index_[i]: the write_index_ entry op i displaced for its key (or
   // nullopt if the key was fresh). Lets RollbackTo undo the index in
@@ -254,13 +255,16 @@ class LocalStore {
   };
   using Chain = std::vector<VersionedValue>;
 
-  void CommitBatch(std::vector<RWTxn::Op>& ops);
+  // Commits `ops` as one new version by applying, per key, the op that
+  // `last_op` names (RWTxn::write_index_); the values are moved out.
+  void CommitBatch(std::vector<RWTxn::Op>& ops,
+                   const std::map<std::string, size_t, std::less<>>& last_op);
   void ReleaseWriter() { writer_active_.store(false, std::memory_order_release); }
   void RegisterSnapshot(uint64_t version);
   void UnregisterSnapshot(uint64_t version);
   uint64_t MinActiveSnapshotLocked() const;
   static std::optional<std::string> ValueAt(const Chain& chain, uint64_t version);
-  void CompactChainLocked(const std::string& key, Chain& chain, uint64_t min_active);
+  static void CompactChainLocked(Chain& chain, uint64_t min_active);
   void LoadCheckpoint();
   void LoadCheckpointBytes(const std::string& bytes);
 

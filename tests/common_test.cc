@@ -583,6 +583,59 @@ TEST(RngTest, StringLength) {
   EXPECT_EQ(rng.String(16).size(), 16u);
 }
 
+// --- log entry codec ---
+
+void ExpectSameEntry(const LogEntry& a, const LogEntry& b) {
+  EXPECT_EQ(a.headers, b.headers);
+  EXPECT_EQ(a.payload, b.payload);
+}
+
+// Entries of every header kind the apply path sees: trace and client ids,
+// app and non-app engine headers, empty and binary payloads.
+std::vector<LogEntry> CodecCorpus(Rng& rng) {
+  std::vector<LogEntry> corpus;
+  LogEntry plain;
+  plain.payload = "hello world, this is a payload";
+  corpus.push_back(plain);
+
+  LogEntry with_headers;
+  with_headers.payload = rng.String(200);
+  with_headers.SetHeader("base", EngineHeader{kMsgTypeApp, rng.String(24)});
+  with_headers.SetHeader("batching", EngineHeader{3, rng.String(64)});
+  with_headers.SetHeader("sessionorder", EngineHeader{1, ""});
+  corpus.push_back(with_headers);
+
+  corpus.push_back(LogEntry{});
+
+  LogEntry ids;
+  SetTraceIds(&ids, {1, 1ULL << 40, UINT64_MAX});
+  SetClientIds(&ids, {7});
+  ids.SetHeader("viewtracking", EngineHeader{2, std::string("\0\xff\x80", 3)});
+  corpus.push_back(ids);
+
+  LogEntry binary;
+  for (int i = 0; i < 256; ++i) {
+    binary.payload.push_back(static_cast<char>(i));
+  }
+  binary.SetHeader(std::string("\0bin\xff", 5), EngineHeader{kMsgTypeApp, binary.payload});
+  SetTraceIds(&binary, {});
+  corpus.push_back(binary);
+  return corpus;
+}
+
+// The owning decode reads headers straight into the entry; it must give
+// back exactly what was serialized, and what the borrowed view materializes.
+TEST(LogEntryCodecTest, OwnedDecodeMatchesViewMaterialize) {
+  Rng rng(7);
+  for (const LogEntry& entry : CodecCorpus(rng)) {
+    const std::string bytes = entry.Serialize();
+    const LogEntry owned = LogEntry::Deserialize(bytes);
+    ExpectSameEntry(owned, entry);
+    ExpectSameEntry(owned, LogEntryView::Parse(bytes).Materialize());
+    EXPECT_EQ(owned.Serialize(), bytes);
+  }
+}
+
 // --- log entry decode fuzz ---
 
 // Seeded mutation fuzz over the zero-copy entry decoder: start from valid
@@ -597,20 +650,8 @@ TEST(LogEntryFuzzTest, MutatedEntriesEitherParseOrThrowSerdeError) {
 
   // A corpus of valid encodings of varying shape.
   std::vector<std::string> corpus;
-  {
-    LogEntry plain;
-    plain.payload = "hello world, this is a payload";
-    corpus.push_back(plain.Serialize());
-
-    LogEntry with_headers;
-    with_headers.payload = rng.String(200);
-    with_headers.SetHeader("base", EngineHeader{kMsgTypeApp, rng.String(24)});
-    with_headers.SetHeader("batching", EngineHeader{3, rng.String(64)});
-    with_headers.SetHeader("sessionorder", EngineHeader{1, ""});
-    corpus.push_back(with_headers.Serialize());
-
-    LogEntry empty;
-    corpus.push_back(empty.Serialize());
+  for (const LogEntry& entry : CodecCorpus(rng)) {
+    corpus.push_back(entry.Serialize());
   }
 
   int parsed = 0;
@@ -641,7 +682,8 @@ TEST(LogEntryFuzzTest, MutatedEntriesEitherParseOrThrowSerdeError) {
 
     try {
       const LogEntryView view = LogEntryView::Parse(bytes);
-      // A successful parse must yield a fully usable view.
+      // A successful parse must yield a fully usable view, and the one-pass
+      // owning decode must agree with it.
       const LogEntry owned = view.Materialize();
       EXPECT_EQ(owned.payload, view.payload);
       EXPECT_EQ(owned.headers.size(), view.headers.size());
@@ -649,9 +691,11 @@ TEST(LogEntryFuzzTest, MutatedEntriesEitherParseOrThrowSerdeError) {
         EXPECT_TRUE(view.HasHeader(name));
         (void)blob;
       }
+      ExpectSameEntry(LogEntry::Deserialize(bytes), owned);
       ++parsed;
     } catch (const SerdeError&) {
       ++rejected;  // the only acceptable failure mode
+      EXPECT_THROW(LogEntry::Deserialize(bytes), SerdeError);
     }
   }
   // The corpus mutation mix lands on both sides; if either count collapses

@@ -398,6 +398,7 @@ class ScriptedDownstream : public IEngine {
   void SetTrimPrefix(LogPos pos) override {}
 
   size_t proposed() const { return proposed_.size(); }
+  const LogEntry& Proposed(size_t i) const { return proposed_.at(i); }
   // The batch blob of the i-th proposal.
   std::string Blob(size_t i) const { return proposed_.at(i).GetHeader("batching")->blob; }
   // Sub-entries in the i-th proposed batch.
@@ -554,6 +555,74 @@ TEST(BatchingPacingTest, EncodedBatchMatchesPerEntrySerialization) {
     reference.WriteString(entry.Serialize());
   }
   EXPECT_EQ(b.downstream.Blob(1), reference.buffer());
+  b.downstream.Succeed(0);
+  b.downstream.Succeed(1);
+}
+
+// Keeps every entry it applies.
+class RecordingApplicator : public IApplicator {
+ public:
+  std::any Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) override {
+    applied.push_back(entry);
+    return std::any(Unit{});
+  }
+  std::vector<LogEntry> applied;
+};
+
+// A batch's sub-entries reach the layer above with every header and payload
+// byte intact, and a truncated batch fails its apply with SerdeError.
+TEST(BatchingCodecTest, SubEntriesRoundTripAndTruncationThrows) {
+  PacedBatcher b(/*max_entries=*/4);
+  RecordingApplicator app;
+  b.batching->RegisterUpcall(&app);
+  b.batching->Propose(PayloadEntry("held"));
+  std::vector<LogEntry> entries;
+  {
+    LogEntry traced = PayloadEntry("traced");
+    SetTraceIds(&traced, {11, 12});
+    SetClientIds(&traced, {3});
+    entries.push_back(traced);
+    LogEntry control = PayloadEntry("");
+    control.SetHeader("viewtracking", EngineHeader{2, std::string("\0v\xff", 3)});
+    control.SetHeader("sessionorder", EngineHeader{kMsgTypeApp, "seq"});
+    entries.push_back(control);
+    entries.push_back(LogEntry{});
+    LogEntry binary;
+    for (int i = 255; i >= 0; --i) {
+      binary.payload.push_back(static_cast<char>(i));
+    }
+    entries.push_back(binary);
+  }
+  for (const LogEntry& entry : entries) {
+    b.batching->Propose(entry);
+  }
+  ASSERT_EQ(b.downstream.proposed(), 2u);
+  const LogEntry batch = b.downstream.Proposed(1);
+
+  RWTxn txn = b.store.BeginRW();
+  const std::any results = b.batching->Apply(txn, batch, /*pos=*/1);
+  b.batching->PostApply(batch, 1);
+  ASSERT_EQ(std::any_cast<std::vector<std::any>>(results).size(), entries.size());
+  ASSERT_EQ(app.applied.size(), entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(app.applied[i].headers, entries[i].headers) << "sub-entry " << i;
+    EXPECT_EQ(app.applied[i].payload, entries[i].payload) << "sub-entry " << i;
+  }
+
+  // Every strict prefix of the blob cuts into the last sub-entry (or the
+  // count), so none decodes, and no sub-entry reaches the layer above.
+  const EngineHeader header = *batch.GetHeader("batching");
+  for (size_t keep = 0; keep < header.blob.size(); ++keep) {
+    const LogEntry truncated =
+        MakeControlEntry("batching", header.msgtype, header.blob.substr(0, keep));
+    const LogPos pos = 2 + keep;
+    const std::any result = b.batching->Apply(txn, truncated, pos);
+    b.batching->PostApply(truncated, pos);
+    ASSERT_TRUE(IsApplyError(result)) << "kept " << keep << " bytes";
+    EXPECT_THROW(std::rethrow_exception(std::any_cast<ApplyError>(result).error), SerdeError);
+  }
+  EXPECT_EQ(app.applied.size(), entries.size());
+  txn.Abort();
   b.downstream.Succeed(0);
   b.downstream.Succeed(1);
 }
