@@ -442,11 +442,13 @@ inline bool WriteSourceFile(const std::string& file, const std::string& text) {
 }
 
 // The commit of the source checkout the bench runs from (HEAD), suffixed
-// "-dirty" when the working tree differs from it.
+// "-dirty" when the working tree differs from it. The BENCH_* outputs are
+// left out: a bench rewrites them before it stamps its report.
 inline std::string SourceCommit() {
   const std::string git = std::string("git -C '") + DELOS_SOURCE_DIR + "' ";
   const std::string command = git + "rev-parse HEAD 2>/dev/null && { " + git +
-                              "diff --quiet HEAD 2>/dev/null || echo dirty; }";
+                              "diff --quiet HEAD -- ':(exclude)BENCH_*' 2>/dev/null" +
+                              " || echo dirty; }";
   std::string commit;
   if (FILE* pipe = popen(command.c_str(), "r"); pipe != nullptr) {
     char buf[64];
