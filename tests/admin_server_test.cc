@@ -8,13 +8,16 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/apps/zelos/zelos.h"
 #include "src/common/trace.h"
 #include "src/core/cluster.h"
+#include "src/engines/digest_engine.h"
 #include "src/engines/stacks.h"
 #include "src/net/admin_server.h"
 
@@ -212,6 +215,111 @@ TEST_F(AdminServerTest, FormatJsonSwitchesRoutesToMachineReadableBodies) {
 
   // Unknown query parameters stay ignored alongside format=json.
   EXPECT_EQ(endpoint.Handle("/metrics?scrape=1&format=json").status, 200);
+}
+
+// Every dual-format route serves its plane's text render as is and, with
+// ?format=json, the plane's JSON render plus a newline.
+TEST_F(AdminServerTest, DualFormatRoutesServeThePlaneRenders) {
+  LatencyAttributor* latency = server().latency();
+  WorkloadAttributor* workload = server().workload();
+  auto* digest = dynamic_cast<DigestEngine*>(server().FindEngine("digest"));
+  ASSERT_NE(latency, nullptr);
+  ASSERT_NE(workload, nullptr);
+  ASSERT_NE(digest, nullptr);
+  // One errored proposal: captured as a slow exemplar for /slow/<id>.
+  constexpr uint64_t kTrace = uint64_t{1} << 40;
+  latency->OnSpan(TraceSpan{kTrace, "base.append", "server0", 10, 20});
+  latency->OnSpan(TraceSpan{kTrace, "client.propose", "server0", 0, 30, /*failed=*/true});
+  const std::string slow_path = "/slow/" + std::to_string(kTrace);
+
+  struct Route {
+    std::string path;
+    std::string text_type;
+    std::function<std::string()> text;
+    std::function<std::string()> json;
+  };
+  const std::string kText = "text/plain; charset=utf-8";
+  const std::vector<Route> routes = {
+      {"/metrics", "text/plain; version=0.0.4; charset=utf-8",
+       [&] { return server().metrics()->RenderPrometheus(); },
+       [&] { return server().metrics()->RenderJson(); }},
+      {"/top", kText, [&] { return server().series()->RenderTable(10); },
+       [&] { return server().series()->RenderJson(10); }},
+      {"/latency", kText, [&] { return latency->RenderLatency(); },
+       [&] { return latency->RenderLatencyJson(); }},
+      {"/slow", kText, [&] { return latency->RenderSlowList(); },
+       [&] { return latency->RenderSlowListJson(); }},
+      {slow_path, kText, [&] { return latency->RenderSlowDetail(kTrace).value_or("-"); },
+       [&] { return latency->RenderSlowDetailJson(kTrace).value_or("-"); }},
+      {"/workload", kText, [&] { return workload->RenderWorkload(); },
+       [&] { return workload->RenderWorkloadJson(); }},
+      {"/top/keys", kText, [&] { return workload->RenderTopKeys(); },
+       [&] { return workload->RenderTopKeysJson(); }},
+      {"/top/clients", kText, [&] { return workload->RenderTopClients(); },
+       [&] { return workload->RenderTopClientsJson(); }},
+      {"/digest", kText, [&] { return digest->Render(); },
+       [&] { return digest->RenderJson(); }},
+      {"/divergence", kText, [&] { return digest->tracker()->Render(); },
+       [&] { return digest->tracker()->RenderJson(); }},
+  };
+  AdminEndpoint endpoint(&server());
+  for (const Route& route : routes) {
+    SCOPED_TRACE(route.path);
+    const AdminResponse text = endpoint.Handle(route.path);
+    EXPECT_EQ(text.status, 200);
+    EXPECT_EQ(text.content_type, route.text_type);
+    EXPECT_EQ(text.body, route.text());
+    const AdminResponse json = endpoint.Handle(route.path + "?format=json");
+    EXPECT_EQ(json.status, 200);
+    EXPECT_EQ(json.content_type, "application/json");
+    EXPECT_EQ(json.body, route.json() + "\n");
+  }
+  for (const char* format : {"", "?format=json"}) {
+    const AdminResponse missing = endpoint.Handle(std::string("/slow/7") + format);
+    EXPECT_EQ(missing.status, 404);
+    EXPECT_EQ(missing.content_type, "text/plain; charset=utf-8");
+    EXPECT_EQ(missing.body, "no slow trace 7\n");
+  }
+}
+
+// With every optional plane off, each of its routes answers 404 with the
+// plane's "... is not enabled" message in either format.
+TEST_F(AdminServerTest, DisabledPlaneRoutesReturn404WithTheirMessage) {
+  Cluster::Options options;
+  options.num_servers = 1;
+  options.base_options.latency_attribution = false;
+  options.base_options.workload_attribution = false;
+  std::map<std::string, std::unique_ptr<zelos::ZelosApplicator>> apps;
+  Cluster cluster(options, [&](ClusterServer& server) {
+    StackConfig config = ZelosStackConfig(nullptr);
+    config.digest = false;
+    BuildStack(server, config);
+    auto app = std::make_unique<zelos::ZelosApplicator>();
+    server.RegisterApplicator(app.get());
+    apps[server.id()] = std::move(app);
+  });
+  const std::vector<std::pair<std::string, std::string>> routes = {
+      {"/latency", "latency attribution is not enabled\n"},
+      {"/slow", "latency attribution is not enabled\n"},
+      {"/slow/7", "latency attribution is not enabled\n"},
+      {"/workload", "workload attribution is not enabled\n"},
+      {"/top/keys", "workload attribution is not enabled\n"},
+      {"/top/clients", "workload attribution is not enabled\n"},
+      {"/digest", "digest beacons are not enabled\n"},
+      {"/divergence", "digest beacons are not enabled\n"},
+      {"/trace/7", "tracing is not enabled\n"},
+  };
+  AdminEndpoint endpoint(&cluster.server(0));
+  for (const auto& [path, message] : routes) {
+    for (const char* format : {"", "?format=json"}) {
+      SCOPED_TRACE(path + format);
+      const AdminResponse response = endpoint.Handle(path + format);
+      EXPECT_EQ(response.status, 404);
+      EXPECT_EQ(response.content_type, "text/plain; charset=utf-8");
+      EXPECT_EQ(response.body, message);
+    }
+  }
+  cluster.server(0).Stop();
 }
 
 TEST_F(AdminServerTest, UnknownAndMalformedPathsReturn404) {
