@@ -20,6 +20,7 @@
 #include "src/common/blocking_queue.h"
 #include "src/common/checksum.h"
 #include "src/common/clock.h"
+#include "src/common/json.h"
 #include "src/common/metrics.h"
 #include "src/common/serde.h"
 #include "src/core/base_engine.h"
@@ -379,18 +380,7 @@ class JsonObject {
     return Raw(key, value ? "true" : "false");
   }
   JsonObject& Str(const std::string& key, const std::string& value) {
-    std::string quoted = "\"";
-    for (const char c : value) {
-      if (c == '"' || c == '\\') {
-        quoted += '\\';
-        quoted += c;
-      } else if (c == '\n') {
-        quoted += "\\n";
-      } else {
-        quoted += c;
-      }
-    }
-    return Raw(key, quoted + "\"");
+    return Raw(key, "\"" + JsonEscape(value) + "\"");
   }
   JsonObject& Obj(const std::string& key, const JsonObject& value) {
     return Raw(key, value.Render(false));

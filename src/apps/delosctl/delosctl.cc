@@ -16,9 +16,10 @@
 //   delosctl [...] digest                    digest-beacon counters + sample table
 //   delosctl [...] divergence                earliest-divergence conviction report
 //
-// `--json` switches status/top/metrics/latency/slow/workload to
-// machine-readable JSON (appends ?format=json to the admin path) for
-// scripting and CI.
+// `--json` switches status, top, top keys|clients, metrics, latency, slow,
+// workload, digest and divergence to machine-readable JSON (appends
+// ?format=json to the admin path) for scripting and CI. stack and healthz
+// always answer JSON; flight and trace are text only.
 //
 // `--demo` boots a single-server Zelos cluster in-process, drives a short
 // workload, serves it on an ephemeral loopback port, and runs the requested
@@ -64,8 +65,9 @@ void PrintUsage() {
                "  divergence   earliest-divergence conviction report\n"
                "\n"
                "  --demo       run against an in-process single-server Zelos cluster\n"
-               "  --json       machine-readable output "
-               "(status/top/metrics/latency/slow/workload)\n");
+               "  --json       machine-readable output (status, top, top keys|clients,\n"
+               "               metrics, latency, slow, workload, digest, divergence;\n"
+               "               stack and healthz are always JSON, flight and trace text)\n");
 }
 
 // Maps a command (+ optional argument) to an admin-endpoint path; empty on

@@ -3,40 +3,11 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/common/json.h"
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 
 namespace delos {
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 DivergenceTracker::DivergenceTracker(DivergenceOptions options) : options_(std::move(options)) {
   AttachSinks(options_.metrics, options_.recorder);
@@ -223,26 +194,29 @@ std::string DivergenceTracker::Render(bool include_digests) const {
 
 std::string DivergenceTracker::RenderJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "{\"server\":\"" << JsonEscape(options_.server) << "\",\"convicted\":"
-      << (convicted_ ? "true" : "false") << ",\"beacons_appended\":" << beacons_appended_
-      << ",\"beacons_checked\":" << beacons_checked_ << ",\"mismatches\":" << mismatches_
-      << ",\"last_verified_pos\":" << last_verified_pos_;
+  JsonWriter json;
+  json.BeginObject()
+      .Key("server").String(options_.server)
+      .Key("convicted").Bool(convicted_)
+      .Key("beacons_appended").Int(beacons_appended_)
+      .Key("beacons_checked").Int(beacons_checked_)
+      .Key("mismatches").Int(mismatches_)
+      .Key("last_verified_pos").Int(last_verified_pos_);
   if (convicted_) {
-    out << ",\"window_lo\":" << window_lo_ << ",\"window_hi\":" << window_hi_
-        << ",\"local_digest\":" << local_digest_ << ",\"remote_digest\":" << remote_digest_
-        << ",\"proposer\":\"" << JsonEscape(proposer_) << "\",\"beacon_trace\":" << trace_id_
-        << ",\"window_traces\":[";
-    for (size_t i = 0; i < window_trace_ids_.size(); ++i) {
-      if (i != 0) {
-        out << ",";
-      }
-      out << window_trace_ids_[i];
+    json.Key("window_lo").Int(window_lo_)
+        .Key("window_hi").Int(window_hi_)
+        .Key("local_digest").Int(local_digest_)
+        .Key("remote_digest").Int(remote_digest_)
+        .Key("proposer").String(proposer_)
+        .Key("beacon_trace").Int(trace_id_)
+        .Key("window_traces").BeginArray();
+    for (const uint64_t id : window_trace_ids_) {
+      json.Int(id);
     }
-    out << "],\"flight_excerpt\":\"" << JsonEscape(flight_excerpt_) << "\"";
+    json.EndArray().Key("flight_excerpt").String(flight_excerpt_);
   }
-  out << "}";
-  return out.str();
+  json.EndObject();
+  return json.str();
 }
 
 }  // namespace delos

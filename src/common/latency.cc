@@ -7,6 +7,7 @@
 #include <sstream>
 #include <tuple>
 
+#include "src/common/json.h"
 #include "src/common/metrics.h"
 
 namespace delos {
@@ -25,33 +26,6 @@ void SortSpans(std::vector<TraceSpan>& spans) {
     return std::tie(x.start_micros, x.end_micros, x.server, x.name) <
            std::tie(y.start_micros, y.end_micros, y.server, y.name);
   });
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 // The stage with the largest critical-path share (first-touch order breaks
@@ -352,22 +326,23 @@ uint64_t LatencyAttributor::traces_completed() const {
   return traces_completed_;
 }
 
-std::string LatencyAttributor::RenderLatency() const {
-  std::vector<std::pair<std::string, Histogram*>> stages;
-  std::map<std::string, std::pair<int64_t, uint64_t>> dominance;
-  uint64_t completed;
-  int64_t unattributed;
-  int64_t e2e_total;
+LatencyAttributor::StageTotals LatencyAttributor::SnapshotStages() const {
+  StageTotals totals;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stages.assign(stage_hists_.begin(), stage_hists_.end());
-    dominance = dominance_;
-    completed = traces_completed_;
-    unattributed = unattributed_total_;
-    e2e_total = e2e_total_;
+    totals.stages.assign(stage_hists_.begin(), stage_hists_.end());
+    totals.dominance = dominance_;
+    totals.completed = traces_completed_;
+    totals.unattributed = unattributed_total_;
+    totals.e2e_total = e2e_total_;
   }
-  std::sort(stages.begin(), stages.end(),
+  std::sort(totals.stages.begin(), totals.stages.end(),
             [](const auto& x, const auto& y) { return x.first < y.first; });
+  return totals;
+}
+
+std::string LatencyAttributor::RenderLatency() const {
+  const auto [stages, dominance, completed, unattributed, e2e_total] = SnapshotStages();
 
   std::ostringstream out;
   out << "latency attribution: server " << options_.server << "\n";
@@ -430,46 +405,36 @@ std::string LatencyAttributor::RenderLatency() const {
 }
 
 std::string LatencyAttributor::RenderLatencyJson() const {
-  std::vector<std::pair<std::string, Histogram*>> stages;
-  std::map<std::string, std::pair<int64_t, uint64_t>> dominance;
-  uint64_t completed;
-  int64_t unattributed;
-  int64_t e2e_total;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stages.assign(stage_hists_.begin(), stage_hists_.end());
-    dominance = dominance_;
-    completed = traces_completed_;
-    unattributed = unattributed_total_;
-    e2e_total = e2e_total_;
-  }
-  std::sort(stages.begin(), stages.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
+  const auto [stages, dominance, completed, unattributed, e2e_total] = SnapshotStages();
   const int64_t threshold = SlowThresholdMicros();
-  std::ostringstream out;
-  out << "{\"server\":\"" << JsonEscape(options_.server) << "\",\"traces_completed\":"
-      << completed << ",\"slow_captured\":" << slow_.captured() << ",\"slow_evicted\":"
-      << slow_.evicted() << ",\"tail_threshold_us\":"
-      << (threshold == std::numeric_limits<int64_t>::max() ? -1 : threshold)
-      << ",\"e2e\":{\"count\":" << e2e_hist_->count() << ",\"p50\":" << e2e_hist_->Percentile(50)
-      << ",\"p99\":" << e2e_hist_->Percentile(99) << ",\"p999\":" << e2e_hist_->Percentile(99.9)
-      << ",\"max\":" << e2e_hist_->Max() << ",\"total_us\":" << e2e_total
-      << ",\"unattributed_us\":" << unattributed << "},\"stages\":[";
-  bool first = true;
+  JsonWriter json;
+  json.BeginObject()
+      .Key("server").String(options_.server)
+      .Key("traces_completed").Int(completed)
+      .Key("slow_captured").Int(slow_.captured())
+      .Key("slow_evicted").Int(slow_.evicted())
+      .Key("tail_threshold_us")
+      .Int(threshold == std::numeric_limits<int64_t>::max() ? -1 : threshold)
+      .Key("e2e").BeginObject()
+      .Key("count").Int(e2e_hist_->count())
+      .Key("p50").Int(e2e_hist_->Percentile(50)).Key("p99").Int(e2e_hist_->Percentile(99))
+      .Key("p999").Int(e2e_hist_->Percentile(99.9)).Key("max").Int(e2e_hist_->Max())
+      .Key("total_us").Int(e2e_total)
+      .Key("unattributed_us").Int(unattributed)
+      .EndObject()
+      .Key("stages").BeginArray();
   for (const auto& [stage, hist] : stages) {
     const auto it = dominance.find(stage);
-    const int64_t cp = it == dominance.end() ? 0 : it->second.first;
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "{\"stage\":\"" << JsonEscape(stage) << "\",\"count\":" << hist->count()
-        << ",\"p50\":" << hist->Percentile(50) << ",\"p99\":" << hist->Percentile(99)
-        << ",\"p999\":" << hist->Percentile(99.9) << ",\"max\":" << hist->Max()
-        << ",\"cp_total_us\":" << cp << "}";
+    json.BeginObject()
+        .Key("stage").String(stage)
+        .Key("count").Int(hist->count())
+        .Key("p50").Int(hist->Percentile(50)).Key("p99").Int(hist->Percentile(99))
+        .Key("p999").Int(hist->Percentile(99.9)).Key("max").Int(hist->Max())
+        .Key("cp_total_us").Int(it == dominance.end() ? 0 : it->second.first)
+        .EndObject();
   }
-  out << "]}";
-  return out.str();
+  json.EndArray().EndObject();
+  return json.str();
 }
 
 std::string LatencyAttributor::RenderSlowList() const {
@@ -487,23 +452,23 @@ std::string LatencyAttributor::RenderSlowList() const {
 }
 
 std::string LatencyAttributor::RenderSlowListJson() const {
-  const std::vector<SlowTrace> traces = slow_.Snapshot();
-  std::ostringstream out;
-  out << "{\"captured\":" << slow_.captured() << ",\"evicted\":" << slow_.evicted()
-      << ",\"capacity\":" << slow_.capacity() << ",\"traces\":[";
-  bool first = true;
-  for (const SlowTrace& trace : traces) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "{\"trace_id\":" << trace.trace_id << ",\"e2e_us\":" << trace.e2e_micros
-        << ",\"errored\":" << (trace.errored ? "true" : "false") << ",\"dominant\":\""
-        << JsonEscape(DominantStage(trace.critical_path)) << "\",\"spans\":"
-        << trace.spans.size() << "}";
+  JsonWriter json;
+  json.BeginObject()
+      .Key("captured").Int(slow_.captured())
+      .Key("evicted").Int(slow_.evicted())
+      .Key("capacity").Int(slow_.capacity())
+      .Key("traces").BeginArray();
+  for (const SlowTrace& trace : slow_.Snapshot()) {
+    json.BeginObject()
+        .Key("trace_id").Int(trace.trace_id)
+        .Key("e2e_us").Int(trace.e2e_micros)
+        .Key("errored").Bool(trace.errored)
+        .Key("dominant").String(DominantStage(trace.critical_path))
+        .Key("spans").Int(trace.spans.size())
+        .EndObject();
   }
-  out << "]}";
-  return out.str();
+  json.EndArray().EndObject();
+  return json.str();
 }
 
 std::optional<std::string> LatencyAttributor::RenderSlowDetail(uint64_t trace_id) const {
@@ -547,33 +512,31 @@ std::optional<std::string> LatencyAttributor::RenderSlowDetailJson(uint64_t trac
   if (!trace.has_value()) {
     return std::nullopt;
   }
-  std::ostringstream out;
-  out << "{\"trace_id\":" << trace->trace_id << ",\"e2e_us\":" << trace->e2e_micros
-      << ",\"errored\":" << (trace->errored ? "true" : "false") << ",\"start_us\":"
-      << trace->start_micros << ",\"end_us\":" << trace->end_micros << ",\"critical_path\":[";
-  bool first = true;
+  JsonWriter json;
+  json.BeginObject()
+      .Key("trace_id").Int(trace->trace_id)
+      .Key("e2e_us").Int(trace->e2e_micros)
+      .Key("errored").Bool(trace->errored)
+      .Key("start_us").Int(trace->start_micros)
+      .Key("end_us").Int(trace->end_micros)
+      .Key("critical_path").BeginArray();
   for (const StageShare& seg : trace->critical_path.segments) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "{\"stage\":\"" << JsonEscape(seg.stage) << "\",\"micros\":" << seg.micros << "}";
+    json.BeginObject().Key("stage").String(seg.stage).Key("micros").Int(seg.micros).EndObject();
   }
-  out << "],\"unattributed_us\":" << trace->critical_path.unattributed_micros
-      << ",\"spans\":[";
-  first = true;
+  json.EndArray()
+      .Key("unattributed_us").Int(trace->critical_path.unattributed_micros)
+      .Key("spans").BeginArray();
   for (const TraceSpan& span : trace->spans) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "{\"name\":\"" << JsonEscape(span.name) << "\",\"server\":\""
-        << JsonEscape(span.server) << "\",\"start_us\":" << span.start_micros
-        << ",\"end_us\":" << span.end_micros << ",\"failed\":"
-        << (span.failed ? "true" : "false") << "}";
+    json.BeginObject()
+        .Key("name").String(span.name)
+        .Key("server").String(span.server)
+        .Key("start_us").Int(span.start_micros)
+        .Key("end_us").Int(span.end_micros)
+        .Key("failed").Bool(span.failed)
+        .EndObject();
   }
-  out << "],\"flight_excerpt\":\"" << JsonEscape(trace->flight_excerpt) << "\"}";
-  return out.str();
+  json.EndArray().Key("flight_excerpt").String(trace->flight_excerpt).EndObject();
+  return json.str();
 }
 
 }  // namespace delos

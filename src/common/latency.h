@@ -164,6 +164,17 @@ class LatencyAttributor {
     std::vector<TraceSpan> spans;
   };
 
+  // What RenderLatency and RenderLatencyJson read, copied under mu_: the
+  // stage histograms in name order and the dominance accumulators.
+  struct StageTotals {
+    std::vector<std::pair<std::string, Histogram*>> stages;
+    std::map<std::string, std::pair<int64_t, uint64_t>> dominance;
+    uint64_t completed = 0;
+    int64_t unattributed = 0;
+    int64_t e2e_total = 0;
+  };
+
+  StageTotals SnapshotStages() const;
   Histogram* StageHistogramLocked(const std::string& stage);
   void CompleteTrace(const TraceSpan& root);
 

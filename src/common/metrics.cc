@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/common/clock.h"
+#include "src/common/json.h"
 #include "src/common/metrics_ts.h"
 
 namespace delos {
@@ -322,34 +323,26 @@ std::string MetricsRegistry::Render() const {
 
 std::string MetricsRegistry::RenderJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "{\"counters\":{";
-  bool first = true;
+  JsonWriter json;
+  json.BeginObject().Key("counters").BeginObject();
   for (const auto& [name, counter] : counters_) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << PrometheusLabelValue(name) << "\":" << counter->value();
+    json.Key(name).Int(counter->value());
   }
-  out << "},\"gauges\":{";
-  first = true;
+  json.EndObject().Key("gauges").BeginObject();
   for (const auto& [name, gauge] : gauges_) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << PrometheusLabelValue(name) << "\":" << gauge->value();
+    json.Key(name).Int(gauge->value());
   }
-  out << "},\"histograms\":{";
-  first = true;
+  json.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, histogram] : histograms_) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << PrometheusLabelValue(name) << "\":{\"count\":" << histogram->count()
-        << ",\"mean\":" << histogram->Mean() << ",\"p50\":" << histogram->Percentile(50)
-        << ",\"p99\":" << histogram->Percentile(99)
-        << ",\"p999\":" << histogram->Percentile(99.9) << ",\"max\":" << histogram->Max()
-        << "}";
+    json.Key(name).BeginObject()
+        .Key("count").Int(histogram->count())
+        .Key("mean").Double(histogram->Mean())
+        .Key("p50").Int(histogram->Percentile(50)).Key("p99").Int(histogram->Percentile(99))
+        .Key("p999").Int(histogram->Percentile(99.9)).Key("max").Int(histogram->Max())
+        .EndObject();
   }
-  out << "}}";
-  return out.str();
+  json.EndObject().EndObject();
+  return json.str();
 }
 
 std::string PrometheusName(const std::string& name) {
@@ -366,27 +359,6 @@ std::string PrometheusName(const std::string& name) {
     sanitized.insert(sanitized.begin(), '_');
   }
   return sanitized;
-}
-
-std::string PrometheusLabelValue(const std::string& value) {
-  std::string escaped;
-  escaped.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '\\':
-        escaped += "\\\\";
-        break;
-      case '"':
-        escaped += "\\\"";
-        break;
-      case '\n':
-        escaped += "\\n";
-        break;
-      default:
-        escaped += c;
-    }
-  }
-  return escaped;
 }
 
 std::string MetricsRegistry::RenderPrometheus() const {

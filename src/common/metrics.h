@@ -18,16 +18,10 @@ namespace delos {
 
 class TimeSeriesStore;
 
-// Prometheus exposition helpers (shared by RenderPrometheus, the health
-// plane's labeled samples, and the exposition lint test).
-//
-// Maps an internal dotted name onto the exposition grammar
+// Maps an internal dotted name onto the Prometheus exposition grammar
 // [a-zA-Z_:][a-zA-Z0-9_:]*: invalid characters become '_' and a leading
 // digit is prefixed with '_'.
 std::string PrometheusName(const std::string& name);
-// Escapes a label value per the exposition format: backslash, double quote,
-// and newline become \\, \", and \n.
-std::string PrometheusLabelValue(const std::string& value);
 
 class Counter {
  public:
@@ -157,7 +151,7 @@ class MetricsRegistry {
   // Prometheus-style text exposition: one "# TYPE" comment per metric,
   // counters/gauges as bare samples, histograms as summaries (quantile
   // series plus _sum/_count). Metric names are sanitized via
-  // PrometheusName and label values escaped via PrometheusLabelValue.
+  // PrometheusName.
   std::string RenderPrometheus() const;
 
   // Closes one time-series window: reads every registered metric's current

@@ -3,48 +3,10 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/common/json.h"
 #include "src/common/metrics.h"
 
 namespace delos {
-
-namespace {
-
-// Minimal JSON string escaper (RenderJson emits metric names, which are
-// developer-chosen but must not be able to break the document).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 TimeSeriesStore::TimeSeriesStore(size_t capacity) : capacity_(std::max<size_t>(capacity, 1)) {}
 
@@ -187,44 +149,38 @@ std::optional<int64_t> TimeSeriesStore::LatestGauge(const std::string& name) con
 std::string TimeSeriesStore::RenderJson(size_t last_n) const {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t n = (last_n == 0) ? windows_.size() : std::min(last_n, windows_.size());
-  std::ostringstream out;
-  out << "{\"capacity\":" << capacity_ << ",\"windows_committed\":" << next_index_
-      << ",\"windows\":[";
-  bool first_window = true;
+  JsonWriter json;
+  json.BeginObject()
+      .Key("capacity").Int(capacity_)
+      .Key("windows_committed").Int(next_index_)
+      .Key("windows").BeginArray();
   for (size_t i = windows_.size() - n; i < windows_.size(); ++i) {
     const MetricWindow& w = windows_[i];
-    if (!first_window) {
-      out << ",";
-    }
-    first_window = false;
-    out << "{\"index\":" << w.index << ",\"start_micros\":" << w.start_micros
-        << ",\"end_micros\":" << w.end_micros << ",\"counters\":{";
-    bool first = true;
+    json.BeginObject()
+        .Key("index").Int(w.index)
+        .Key("start_micros").Int(w.start_micros)
+        .Key("end_micros").Int(w.end_micros)
+        .Key("counters").BeginObject();
     for (const auto& [name, delta] : w.counter_deltas) {
-      if (!first) out << ",";
-      first = false;
-      out << "\"" << JsonEscape(name) << "\":" << delta;
+      json.Key(name).Int(delta);
     }
-    out << "},\"gauges\":{";
-    first = true;
+    json.EndObject().Key("gauges").BeginObject();
     for (const auto& [name, value] : w.gauges) {
-      if (!first) out << ",";
-      first = false;
-      out << "\"" << JsonEscape(name) << "\":" << value;
+      json.Key(name).Int(value);
     }
-    out << "},\"histograms\":{";
-    first = true;
+    json.EndObject().Key("histograms").BeginObject();
     for (const auto& [name, h] : w.histograms) {
-      if (!first) out << ",";
-      first = false;
-      out << "\"" << JsonEscape(name) << "\":{\"count\":" << h.count << ",\"sum\":" << h.sum
-          << ",\"p50\":" << h.p50 << ",\"p99\":" << h.p99 << ",\"p999\":" << h.p999
-          << ",\"max\":" << h.max << "}";
+      json.Key(name).BeginObject()
+          .Key("count").Int(h.count)
+          .Key("sum").Int(h.sum)
+          .Key("p50").Int(h.p50).Key("p99").Int(h.p99)
+          .Key("p999").Int(h.p999).Key("max").Int(h.max)
+          .EndObject();
     }
-    out << "}}";
+    json.EndObject().EndObject();
   }
-  out << "]}";
-  return out.str();
+  json.EndArray().EndObject();
+  return json.str();
 }
 
 std::string TimeSeriesStore::RenderTable(size_t last_n) const {

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "src/common/errors.h"
+#include "src/common/json.h"
 #include "src/common/metrics.h"
 #include "src/common/serde.h"
 #include "src/common/trace.h"
@@ -26,35 +27,9 @@ void AppendF(std::string* out, const char* fmt, ...) {
   }
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          AppendF(&out, "\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+// `part` as a percentage of `total` (0 when nothing was counted).
+double ShareOf(uint64_t part, uint64_t total) {
+  return total == 0 ? 0.0 : 100.0 * static_cast<double>(part) / static_cast<double>(total);
 }
 
 }  // namespace
@@ -742,21 +717,7 @@ std::optional<WorkloadAttributor::HotSpot> WorkloadAttributor::HottestClient() c
   return HottestOfLocked(top_clients_, top_clients_.total_weight());
 }
 
-void WorkloadAttributor::UpdateSketchBytesLocked() {
-  size_t bytes = top_keys_.MemoryBytes() + top_clients_.MemoryBytes() +
-                 key_ops_.MemoryBytes() + key_bytes_.MemoryBytes() + keys_seen_.MemoryBytes() +
-                 clients_seen_.MemoryBytes() + window_keys_.MemoryBytes() +
-                 window_clients_.MemoryBytes();
-  for (const auto& [name, usage] : layers_) {
-    bytes += name.size() + sizeof(LayerUsage);
-  }
-  if (sketch_bytes_gauge_ != nullptr) {
-    sketch_bytes_gauge_->Set(static_cast<int64_t>(bytes));
-  }
-}
-
-size_t WorkloadAttributor::SketchBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
+size_t WorkloadAttributor::SketchBytesLocked() const {
   size_t bytes = top_keys_.MemoryBytes() + top_clients_.MemoryBytes() +
                  key_ops_.MemoryBytes() + key_bytes_.MemoryBytes() + keys_seen_.MemoryBytes() +
                  clients_seen_.MemoryBytes() + window_keys_.MemoryBytes() +
@@ -767,16 +728,19 @@ size_t WorkloadAttributor::SketchBytes() const {
   return bytes;
 }
 
+void WorkloadAttributor::UpdateSketchBytesLocked() {
+  if (sketch_bytes_gauge_ != nullptr) {
+    sketch_bytes_gauge_->Set(static_cast<int64_t>(SketchBytesLocked()));
+  }
+}
+
+size_t WorkloadAttributor::SketchBytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return SketchBytesLocked();
+}
+
 uint64_t WorkloadAttributor::apply_ops() const {
   return apply_ops_total_.load(std::memory_order_relaxed);
-}
-
-std::vector<SpaceSaving::HeavyHitter> WorkloadAttributor::TopKeysLocked() const {
-  return top_keys_.TopK();
-}
-
-std::vector<SpaceSaving::HeavyHitter> WorkloadAttributor::TopClientsLocked() const {
-  return top_clients_.TopK();
 }
 
 std::string WorkloadAttributor::RenderWorkload() const {
@@ -792,33 +756,22 @@ std::string WorkloadAttributor::RenderWorkload() const {
           static_cast<unsigned long long>(clients_seen_.Estimate()),
           static_cast<unsigned long long>(window_clients_.Estimate()));
   AppendF(&out, "windows closed: %llu\n", static_cast<unsigned long long>(windows_closed_));
-  size_t sketch_bytes = top_keys_.MemoryBytes() + top_clients_.MemoryBytes() +
-                        key_ops_.MemoryBytes() + key_bytes_.MemoryBytes() +
-                        keys_seen_.MemoryBytes() + clients_seen_.MemoryBytes() +
-                        window_keys_.MemoryBytes() + window_clients_.MemoryBytes();
-  for (const auto& [name, usage] : layers_) {
-    sketch_bytes += name.size() + sizeof(LayerUsage);
-  }
   AppendF(&out, "sketch bytes: %llu / budget %llu\n",
-          static_cast<unsigned long long>(sketch_bytes),
+          static_cast<unsigned long long>(SketchBytesLocked()),
           static_cast<unsigned long long>(options_.sketch_byte_budget));
   AppendF(&out, "hot threshold: >%.1f%% share after %llu ops\n",
           options_.hot_share_threshold_pct,
           static_cast<unsigned long long>(options_.hot_min_ops));
-  const auto hot_key = HottestOfLocked(top_keys_, top_keys_.total_weight());
-  if (hot_key.has_value()) {
-    AppendF(&out, "hot key: %s (%llu ops, %.1f%%)\n", hot_key->name.c_str(),
-            static_cast<unsigned long long>(hot_key->ops), hot_key->share_pct);
-  } else {
-    out += "hot key: none\n";
-  }
-  const auto hot_client = HottestOfLocked(top_clients_, top_clients_.total_weight());
-  if (hot_client.has_value()) {
-    AppendF(&out, "hot client: %s (%llu ops, %.1f%%)\n", hot_client->name.c_str(),
-            static_cast<unsigned long long>(hot_client->ops), hot_client->share_pct);
-  } else {
-    out += "hot client: none\n";
-  }
+  auto hot_line = [&](const char* what, const std::optional<HotSpot>& spot) {
+    if (spot.has_value()) {
+      AppendF(&out, "hot %s: %s (%llu ops, %.1f%%)\n", what, spot->name.c_str(),
+              static_cast<unsigned long long>(spot->ops), spot->share_pct);
+    } else {
+      AppendF(&out, "hot %s: none\n", what);
+    }
+  };
+  hot_line("key", HottestOfLocked(top_keys_, top_keys_.total_weight()));
+  hot_line("client", HottestOfLocked(top_clients_, top_clients_.total_weight()));
   out += "-- per-layer propose usage --\n";
   AppendF(&out, "%-28s %12s %14s\n", "layer", "ops", "bytes");
   for (const auto& [name, usage] : layers_) {
@@ -831,53 +784,39 @@ std::string WorkloadAttributor::RenderWorkload() const {
 
 std::string WorkloadAttributor::RenderWorkloadJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"server\":\"" + JsonEscape(options_.server) + "\"";
-  AppendF(&out, ",\"apply_ops\":%llu,\"apply_bytes\":%llu",
-          static_cast<unsigned long long>(apply_ops_total_),
-          static_cast<unsigned long long>(apply_bytes_total_));
-  AppendF(&out, ",\"distinct_keys\":%llu,\"distinct_clients\":%llu",
-          static_cast<unsigned long long>(keys_seen_.Estimate()),
-          static_cast<unsigned long long>(clients_seen_.Estimate()));
-  AppendF(&out, ",\"window_distinct_keys\":%llu,\"window_distinct_clients\":%llu",
-          static_cast<unsigned long long>(window_keys_.Estimate()),
-          static_cast<unsigned long long>(window_clients_.Estimate()));
-  AppendF(&out, ",\"windows_closed\":%llu", static_cast<unsigned long long>(windows_closed_));
-  size_t sketch_bytes = top_keys_.MemoryBytes() + top_clients_.MemoryBytes() +
-                        key_ops_.MemoryBytes() + key_bytes_.MemoryBytes() +
-                        keys_seen_.MemoryBytes() + clients_seen_.MemoryBytes() +
-                        window_keys_.MemoryBytes() + window_clients_.MemoryBytes();
-  AppendF(&out, ",\"sketch_bytes\":%llu,\"sketch_byte_budget\":%llu",
-          static_cast<unsigned long long>(sketch_bytes),
-          static_cast<unsigned long long>(options_.sketch_byte_budget));
-  const auto hot_key = HottestOfLocked(top_keys_, top_keys_.total_weight());
-  if (hot_key.has_value()) {
-    AppendF(&out, ",\"hot_key\":{\"key\":\"%s\",\"ops\":%llu,\"share_pct\":%.1f}",
-            JsonEscape(hot_key->name).c_str(), static_cast<unsigned long long>(hot_key->ops),
-            hot_key->share_pct);
-  } else {
-    out += ",\"hot_key\":null";
-  }
-  const auto hot_client = HottestOfLocked(top_clients_, top_clients_.total_weight());
-  if (hot_client.has_value()) {
-    AppendF(&out, ",\"hot_client\":{\"client\":\"%s\",\"ops\":%llu,\"share_pct\":%.1f}",
-            JsonEscape(hot_client->name).c_str(),
-            static_cast<unsigned long long>(hot_client->ops), hot_client->share_pct);
-  } else {
-    out += ",\"hot_client\":null";
-  }
-  out += ",\"layers\":[";
-  bool first = true;
-  for (const auto& [name, usage] : layers_) {
-    if (!first) {
-      out += ",";
+  JsonWriter json;
+  json.BeginObject()
+      .Key("server").String(options_.server)
+      .Key("apply_ops").Int(apply_ops_total_.load())
+      .Key("apply_bytes").Int(apply_bytes_total_.load())
+      .Key("distinct_keys").Int(keys_seen_.Estimate())
+      .Key("distinct_clients").Int(clients_seen_.Estimate())
+      .Key("window_distinct_keys").Int(window_keys_.Estimate())
+      .Key("window_distinct_clients").Int(window_clients_.Estimate())
+      .Key("windows_closed").Int(windows_closed_)
+      .Key("sketch_bytes").Int(SketchBytesLocked())
+      .Key("sketch_byte_budget").Int(options_.sketch_byte_budget);
+  auto hot_spot = [&](const char* what, const std::optional<HotSpot>& spot) {
+    json.Key(std::string("hot_") + what);
+    if (spot.has_value()) {
+      json.BeginObject().Key(what).String(spot->name).Key("ops").Int(spot->ops);
+      json.Key("share_pct").Fixed(spot->share_pct, 1).EndObject();
+    } else {
+      json.Null();
     }
-    first = false;
-    AppendF(&out, "{\"layer\":\"%s\",\"ops\":%llu,\"bytes\":%llu}", JsonEscape(name).c_str(),
-            static_cast<unsigned long long>(usage.ops),
-            static_cast<unsigned long long>(usage.bytes));
+  };
+  hot_spot("key", HottestOfLocked(top_keys_, top_keys_.total_weight()));
+  hot_spot("client", HottestOfLocked(top_clients_, top_clients_.total_weight()));
+  json.Key("layers").BeginArray();
+  for (const auto& [name, usage] : layers_) {
+    json.BeginObject()
+        .Key("layer").String(name)
+        .Key("ops").Int(usage.ops)
+        .Key("bytes").Int(usage.bytes)
+        .EndObject();
   }
-  out += "]}";
-  return out;
+  json.EndArray().EndObject();
+  return json.str();
 }
 
 std::string WorkloadAttributor::RenderTopKeys() const {
@@ -887,15 +826,13 @@ std::string WorkloadAttributor::RenderTopKeys() const {
   AppendF(&out, "total ops: %llu\n", static_cast<unsigned long long>(total));
   AppendF(&out, "%4s %10s %9s %12s %7s  %s\n", "rank", "ops", "err", "bytes~", "share%",
           "key");
-  const auto top = TopKeysLocked();
+  const auto top = top_keys_.TopK();
   for (size_t i = 0; i < top.size(); ++i) {
-    const double share =
-        total == 0 ? 0.0 : 100.0 * static_cast<double>(top[i].count) / total;
     AppendF(&out, "%4zu %10llu %9llu %12llu %6.1f%%  %s\n", i + 1,
             static_cast<unsigned long long>(top[i].count),
             static_cast<unsigned long long>(top[i].error),
-            static_cast<unsigned long long>(key_bytes_.Estimate(top[i].key)), share,
-            top[i].key.c_str());
+            static_cast<unsigned long long>(key_bytes_.Estimate(top[i].key)),
+            ShareOf(top[i].count, total), top[i].key.c_str());
   }
   return out;
 }
@@ -903,22 +840,22 @@ std::string WorkloadAttributor::RenderTopKeys() const {
 std::string WorkloadAttributor::RenderTopKeysJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t total = top_keys_.total_weight();
-  std::string out = "{\"server\":\"" + JsonEscape(options_.server) + "\"";
-  AppendF(&out, ",\"total_ops\":%llu,\"keys\":[", static_cast<unsigned long long>(total));
-  const auto top = TopKeysLocked();
-  for (size_t i = 0; i < top.size(); ++i) {
-    if (i > 0) {
-      out += ",";
-    }
-    const double share =
-        total == 0 ? 0.0 : 100.0 * static_cast<double>(top[i].count) / total;
-    AppendF(&out, "{\"key\":\"%s\",\"ops\":%llu,\"err\":%llu,\"bytes\":%llu,\"share_pct\":%.1f}",
-            JsonEscape(top[i].key).c_str(), static_cast<unsigned long long>(top[i].count),
-            static_cast<unsigned long long>(top[i].error),
-            static_cast<unsigned long long>(key_bytes_.Estimate(top[i].key)), share);
+  JsonWriter json;
+  json.BeginObject()
+      .Key("server").String(options_.server)
+      .Key("total_ops").Int(total)
+      .Key("keys").BeginArray();
+  for (const SpaceSaving::HeavyHitter& hit : top_keys_.TopK()) {
+    json.BeginObject()
+        .Key("key").String(hit.key)
+        .Key("ops").Int(hit.count)
+        .Key("err").Int(hit.error)
+        .Key("bytes").Int(key_bytes_.Estimate(hit.key))
+        .Key("share_pct").Fixed(ShareOf(hit.count, total), 1)
+        .EndObject();
   }
-  out += "]}";
-  return out;
+  json.EndArray().EndObject();
+  return json.str();
 }
 
 std::string WorkloadAttributor::RenderTopClients() const {
@@ -927,13 +864,12 @@ std::string WorkloadAttributor::RenderTopClients() const {
   const uint64_t total = top_clients_.total_weight();
   AppendF(&out, "total ops: %llu\n", static_cast<unsigned long long>(total));
   AppendF(&out, "%4s %10s %9s %7s  %s\n", "rank", "ops", "err", "share%", "client");
-  const auto top = TopClientsLocked();
+  const auto top = top_clients_.TopK();
   for (size_t i = 0; i < top.size(); ++i) {
-    const double share =
-        total == 0 ? 0.0 : 100.0 * static_cast<double>(top[i].count) / total;
     AppendF(&out, "%4zu %10llu %9llu %6.1f%%  %s\n", i + 1,
             static_cast<unsigned long long>(top[i].count),
-            static_cast<unsigned long long>(top[i].error), share, top[i].key.c_str());
+            static_cast<unsigned long long>(top[i].error), ShareOf(top[i].count, total),
+            top[i].key.c_str());
   }
   return out;
 }
@@ -941,21 +877,21 @@ std::string WorkloadAttributor::RenderTopClients() const {
 std::string WorkloadAttributor::RenderTopClientsJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t total = top_clients_.total_weight();
-  std::string out = "{\"server\":\"" + JsonEscape(options_.server) + "\"";
-  AppendF(&out, ",\"total_ops\":%llu,\"clients\":[", static_cast<unsigned long long>(total));
-  const auto top = TopClientsLocked();
-  for (size_t i = 0; i < top.size(); ++i) {
-    if (i > 0) {
-      out += ",";
-    }
-    const double share =
-        total == 0 ? 0.0 : 100.0 * static_cast<double>(top[i].count) / total;
-    AppendF(&out, "{\"client\":\"%s\",\"ops\":%llu,\"err\":%llu,\"share_pct\":%.1f}",
-            JsonEscape(top[i].key).c_str(), static_cast<unsigned long long>(top[i].count),
-            static_cast<unsigned long long>(top[i].error), share);
+  JsonWriter json;
+  json.BeginObject()
+      .Key("server").String(options_.server)
+      .Key("total_ops").Int(total)
+      .Key("clients").BeginArray();
+  for (const SpaceSaving::HeavyHitter& hit : top_clients_.TopK()) {
+    json.BeginObject()
+        .Key("client").String(hit.key)
+        .Key("ops").Int(hit.count)
+        .Key("err").Int(hit.error)
+        .Key("share_pct").Fixed(ShareOf(hit.count, total), 1)
+        .EndObject();
   }
-  out += "]}";
-  return out;
+  json.EndArray().EndObject();
+  return json.str();
 }
 
 }  // namespace delos

@@ -393,9 +393,9 @@ class WorkloadAttributor {
   void FlushCountersLocked();
   void MaybeFlagHotLocked();
   std::optional<HotSpot> HottestOfLocked(const SpaceSaving& sketch, uint64_t total) const;
+  // The live footprint of every sketch plus the per-layer table.
+  size_t SketchBytesLocked() const;
   void UpdateSketchBytesLocked();
-  std::vector<SpaceSaving::HeavyHitter> TopKeysLocked() const;
-  std::vector<SpaceSaving::HeavyHitter> TopClientsLocked() const;
 
   Options options_;
 

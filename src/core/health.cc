@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 
+#include "src/common/json.h"
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 #include "src/common/metrics_ts.h"
@@ -32,52 +32,20 @@ HealthState AggregateHealth(const std::vector<HealthReport>& reports) {
   return worst;
 }
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string RenderHealthJson(const std::vector<HealthReport>& reports) {
-  std::ostringstream out;
-  out << "{\"state\":\"" << HealthStateName(AggregateHealth(reports)) << "\",\"components\":[";
-  bool first = true;
+  JsonWriter json;
+  json.BeginObject().Key("state").String(HealthStateName(AggregateHealth(reports)));
+  json.Key("components").BeginArray();
   for (const HealthReport& report : reports) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "{\"component\":\"" << JsonEscape(report.component) << "\",\"state\":\""
-        << HealthStateName(report.state) << "\",\"reason\":\"" << JsonEscape(report.reason)
-        << "\",\"value\":" << report.value << "}";
+    json.BeginObject()
+        .Key("component").String(report.component)
+        .Key("state").String(HealthStateName(report.state))
+        .Key("reason").String(report.reason)
+        .Key("value").Int(report.value)
+        .EndObject();
   }
-  out << "]}";
-  return out.str();
+  json.EndArray().EndObject();
+  return json.str();
 }
 
 Watchdog::Watchdog(WatchdogOptions options) : options_(std::move(options)) {

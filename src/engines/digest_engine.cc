@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "src/common/checksum.h"
+#include "src/common/json.h"
 #include "src/common/serde.h"
 #include "src/core/entry.h"
 
@@ -322,24 +323,21 @@ std::string DigestEngine::Render() const {
 }
 
 std::string DigestEngine::RenderJson() const {
-  std::ostringstream out;
-  out << "{\"server\":\"" << options_.server_id
-      << "\",\"beacon_every_n_proposals\":" << options_.beacon_every_n_proposals
-      << ",\"beacons_appended\":" << tracker_.beacons_appended()
-      << ",\"beacons_checked\":" << tracker_.beacons_checked()
-      << ",\"mismatches\":" << tracker_.mismatches()
-      << ",\"last_verified_pos\":" << tracker_.last_verified_pos()
-      << ",\"convicted\":" << (tracker_.convicted() ? "true" : "false") << ",\"samples\":[";
-  bool first = true;
+  JsonWriter json;
+  json.BeginObject()
+      .Key("server").String(options_.server_id)
+      .Key("beacon_every_n_proposals").Int(options_.beacon_every_n_proposals)
+      .Key("beacons_appended").Int(tracker_.beacons_appended())
+      .Key("beacons_checked").Int(tracker_.beacons_checked())
+      .Key("mismatches").Int(tracker_.mismatches())
+      .Key("last_verified_pos").Int(tracker_.last_verified_pos())
+      .Key("convicted").Bool(tracker_.convicted())
+      .Key("samples").BeginArray();
   for (const auto& [pos, digest] : SampleTable()) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "{\"pos\":" << pos << ",\"digest\":" << digest << "}";
+    json.BeginObject().Key("pos").Int(pos).Key("digest").Int(digest).EndObject();
   }
-  out << "]}";
-  return out.str();
+  json.EndArray().EndObject();
+  return json.str();
 }
 
 }  // namespace delos

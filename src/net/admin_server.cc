@@ -10,41 +10,29 @@
 #include <cstring>
 #include <sstream>
 
+#include "src/common/json.h"
 #include "src/engines/digest_engine.h"
 
 namespace delos {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+constexpr char kText[] = "text/plain; charset=utf-8";
 
 AdminResponse NotFound(const std::string& path) {
-  return AdminResponse{404, "text/plain; charset=utf-8", "no route: " + path + "\n"};
+  return AdminResponse{404, kText, "no route: " + path + "\n"};
+}
+
+// The 404 of a route whose plane this server runs without.
+AdminResponse NotEnabled(const char* message) { return AdminResponse{404, kText, message}; }
+
+// A 200 carrying one render: the JSON render plus a newline, or the text
+// render as is.
+AdminResponse Reply(bool json, std::string body, const char* text_type = kText) {
+  if (json) {
+    return AdminResponse{200, "application/json", std::move(body) + "\n"};
+  }
+  return AdminResponse{200, text_type, std::move(body)};
 }
 
 const char* StatusText(int status) {
@@ -66,12 +54,6 @@ const char* StatusText(int status) {
   }
 }
 
-}  // namespace
-
-AdminEndpoint::AdminEndpoint(ClusterServer* server) : server_(server) {}
-
-namespace {
-
 // Parses "/slow/<id>"-style suffixes. Returns false unless the whole suffix
 // is a decimal trace id.
 bool ParseTraceId(const std::string& id_str, uint64_t* id) {
@@ -80,7 +62,193 @@ bool ParseTraceId(const std::string& id_str, uint64_t* id) {
   return end != id_str.c_str() && *end == '\0';
 }
 
+constexpr char kNoLatency[] = "latency attribution is not enabled\n";
+constexpr char kNoWorkload[] = "workload attribution is not enabled\n";
+constexpr char kNoDigest[] = "digest beacons are not enabled\n";
+
+// A dual-format route over one plane: the plane's 404 when the server runs
+// without it, else its JSON or text render.
+template <typename Plane>
+AdminResponse PlaneReply(const Plane* plane, const char* not_enabled, bool json,
+                         std::string (Plane::*text)() const,
+                         std::string (Plane::*as_json)() const) {
+  if (plane == nullptr) {
+    return NotEnabled(not_enabled);
+  }
+  return Reply(json, json ? (plane->*as_json)() : (plane->*text)());
+}
+
+DigestEngine* Digest(ClusterServer& server) {
+  return dynamic_cast<DigestEngine*>(server.FindEngine("digest"));
+}
+
+AdminResponse Healthz(ClusterServer& server, uint64_t, bool) {
+  // One watchdog pass per probe: the verdict is as fresh as the request,
+  // whether or not the background cadence thread is running.
+  const std::vector<HealthReport> reports = server.CollectHealth();
+  const int status = AggregateHealth(reports) == HealthState::kUnhealthy ? 503 : 200;
+  return AdminResponse{status, "application/json", RenderHealthJson(reports) + "\n"};
+}
+
+AdminResponse Status(ClusterServer& server, uint64_t, bool json) {
+  const std::vector<HealthReport> reports = server.CollectHealth();
+  BaseEngine* base = server.base();
+  if (json) {
+    JsonWriter body;
+    body.BeginObject()
+        .Key("server").String(server.id())
+        .Key("aggregate").String(HealthStateName(AggregateHealth(reports)))
+        .Key("applied_position").Int(base->applied_position())
+        .Key("durable_position").Int(base->durable_position())
+        .Key("apply_records").Int(base->apply_records())
+        .Key("apply_batches").Int(base->apply_batches())
+        .Key("components").Raw(RenderHealthJson(reports))
+        .EndObject();
+    return Reply(true, body.str());
+  }
+  std::ostringstream out;
+  out << "server " << server.id() << ": " << HealthStateName(AggregateHealth(reports)) << "\n";
+  out << "  applied=" << base->applied_position() << " durable=" << base->durable_position()
+      << " records=" << base->apply_records() << " batches=" << base->apply_batches() << "\n";
+  char line[256];
+  std::snprintf(line, sizeof(line), "  %-18s %-10s %s\n", "component", "state", "reason");
+  out << line;
+  for (const HealthReport& report : reports) {
+    std::snprintf(line, sizeof(line), "  %-18s %-10s %s\n", report.component.c_str(),
+                  HealthStateName(report.state),
+                  report.reason.empty() ? "-" : report.reason.c_str());
+    out << line;
+  }
+  return Reply(false, out.str());
+}
+
+AdminResponse Stack(ClusterServer& server, uint64_t, bool) {
+  BaseEngine* base = server.base();
+  JsonWriter json;
+  json.BeginObject()
+      .Key("server").String(server.id())
+      .Key("applied_position").Int(base->applied_position())
+      .Key("durable_position").Int(base->durable_position())
+      .Key("apply_records").Int(base->apply_records())
+      .Key("apply_batches").Int(base->apply_batches())
+      .Key("apply_busy_micros").Int(base->apply_busy_micros())
+      .Key("stack").BeginArray();
+  auto engine_row = [&](const std::string& name, bool enabled, const HealthReport& health) {
+    json.BeginObject()
+        .Key("name").String(name)
+        .Key("enabled").Bool(enabled)
+        .Key("health").String(HealthStateName(health.state))
+        .Key("reason").String(health.reason)
+        .EndObject();
+  };
+  // Bottom-up, base first — the order entries flow on the apply path.
+  engine_row("base", true, base->HealthCheck());
+  for (StackableEngine* engine : server.engines()) {
+    engine_row(engine->name(), engine->enabled(), engine->HealthCheck());
+  }
+  json.EndArray().EndObject();
+  return Reply(true, json.str());
+}
+
+// One admin route. A prefix route ("/slow/") takes the decimal trace id
+// that follows its path; an exact route gets id 0.
+struct Route {
+  const char* path;
+  bool prefix;
+  AdminResponse (*handle)(ClusterServer& server, uint64_t id, bool json);
+};
+
+constexpr Route kRoutes[] = {
+    {"/metrics", false,
+     [](ClusterServer& server, uint64_t, bool json) {
+       MetricsRegistry* metrics = server.metrics();
+       return Reply(json, json ? metrics->RenderJson() : metrics->RenderPrometheus(),
+                    "text/plain; version=0.0.4; charset=utf-8");
+     }},
+    {"/healthz", false, Healthz},
+    {"/status", false, Status},
+    {"/", false, Status},
+    {"/stack", false, Stack},
+    {"/top", false,
+     [](ClusterServer& server, uint64_t, bool json) {
+       TimeSeriesStore* series = server.series();
+       return Reply(json, json ? series->RenderJson(10) : series->RenderTable(10));
+     }},
+    {"/series", false,
+     [](ClusterServer& server, uint64_t, bool) {
+       return Reply(true, server.series()->RenderJson());
+     }},
+    {"/flight", false,
+     [](ClusterServer& server, uint64_t, bool) {
+       return Reply(false, server.flight_recorder()->Dump());
+     }},
+    {"/trace/", true,
+     [](ClusterServer& server, uint64_t id, bool) {
+       Tracer* tracer = server.tracer();
+       if (tracer == nullptr) {
+         return NotEnabled("tracing is not enabled\n");
+       }
+       return Reply(false, tracer->Render(id));
+     }},
+    {"/latency", false,
+     [](ClusterServer& server, uint64_t, bool json) {
+       return PlaneReply(server.latency(), kNoLatency, json, &LatencyAttributor::RenderLatency,
+                         &LatencyAttributor::RenderLatencyJson);
+     }},
+    {"/slow", false,
+     [](ClusterServer& server, uint64_t, bool json) {
+       return PlaneReply(server.latency(), kNoLatency, json, &LatencyAttributor::RenderSlowList,
+                         &LatencyAttributor::RenderSlowListJson);
+     }},
+    {"/slow/", true,
+     [](ClusterServer& server, uint64_t id, bool json) {
+       LatencyAttributor* latency = server.latency();
+       if (latency == nullptr) {
+         return NotEnabled(kNoLatency);
+       }
+       std::optional<std::string> body =
+           json ? latency->RenderSlowDetailJson(id) : latency->RenderSlowDetail(id);
+       if (!body.has_value()) {
+         return AdminResponse{404, kText, "no slow trace " + std::to_string(id) + "\n"};
+       }
+       return Reply(json, std::move(*body));
+     }},
+    {"/workload", false,
+     [](ClusterServer& server, uint64_t, bool json) {
+       return PlaneReply(server.workload(), kNoWorkload, json,
+                         &WorkloadAttributor::RenderWorkload,
+                         &WorkloadAttributor::RenderWorkloadJson);
+     }},
+    {"/top/keys", false,
+     [](ClusterServer& server, uint64_t, bool json) {
+       return PlaneReply(server.workload(), kNoWorkload, json, &WorkloadAttributor::RenderTopKeys,
+                         &WorkloadAttributor::RenderTopKeysJson);
+     }},
+    {"/top/clients", false,
+     [](ClusterServer& server, uint64_t, bool json) {
+       return PlaneReply(server.workload(), kNoWorkload, json,
+                         &WorkloadAttributor::RenderTopClients,
+                         &WorkloadAttributor::RenderTopClientsJson);
+     }},
+    {"/digest", false,
+     [](ClusterServer& server, uint64_t, bool json) {
+       return PlaneReply(Digest(server), kNoDigest, json, &DigestEngine::Render,
+                         &DigestEngine::RenderJson);
+     }},
+    {"/divergence", false,
+     [](ClusterServer& server, uint64_t, bool json) {
+       DigestEngine* digest = Digest(server);
+       if (digest == nullptr) {
+         return NotEnabled(kNoDigest);
+       }
+       const DivergenceTracker* tracker = digest->tracker();
+       return Reply(json, json ? tracker->RenderJson() : tracker->Render());
+     }},
+};
+
 }  // namespace
+
+AdminEndpoint::AdminEndpoint(ClusterServer* server) : server_(server) {}
 
 AdminResponse AdminEndpoint::Handle(const std::string& raw_path) const {
   std::string path = raw_path;
@@ -92,269 +260,19 @@ AdminResponse AdminEndpoint::Handle(const std::string& raw_path) const {
     // &-separated parameters; the only one recognized today.
     json = ("&" + query_string + "&").find("&format=json&") != std::string::npos;
   }
-  if (path == "/metrics") {
-    return Metrics(json);
-  }
-  if (path == "/healthz") {
-    return Healthz();
-  }
-  if (path == "/status" || path == "/") {
-    return Status(json);
-  }
-  if (path == "/stack") {
-    return Stack();
-  }
-  if (path == "/top") {
-    return Top(json);
-  }
-  if (path == "/series") {
-    return Series();
-  }
-  if (path == "/flight") {
-    return Flight();
-  }
-  if (path == "/latency") {
-    return Latency(json);
-  }
-  if (path == "/slow") {
-    return Slow(json);
-  }
-  if (path == "/workload") {
-    return Workload(json);
-  }
-  if (path == "/top/keys") {
-    return TopKeys(json);
-  }
-  if (path == "/digest") {
-    return Digest(json);
-  }
-  if (path == "/divergence") {
-    return Divergence(json);
-  }
-  if (path == "/top/clients") {
-    return TopClients(json);
-  }
-  constexpr char kSlowPrefix[] = "/slow/";
-  if (path.rfind(kSlowPrefix, 0) == 0) {
-    uint64_t id = 0;
-    if (!ParseTraceId(path.substr(sizeof(kSlowPrefix) - 1), &id)) {
-      return NotFound(path);
+  for (const Route& route : kRoutes) {
+    if (!route.prefix && path == route.path) {
+      return route.handle(*server_, 0, json);
     }
-    return SlowDetail(id, json);
-  }
-  constexpr char kTracePrefix[] = "/trace/";
-  if (path.rfind(kTracePrefix, 0) == 0) {
-    uint64_t id = 0;
-    if (!ParseTraceId(path.substr(sizeof(kTracePrefix) - 1), &id)) {
-      return NotFound(path);
+    if (route.prefix && path.rfind(route.path, 0) == 0) {
+      uint64_t id = 0;
+      if (!ParseTraceId(path.substr(std::strlen(route.path)), &id)) {
+        return NotFound(path);
+      }
+      return route.handle(*server_, id, json);
     }
-    return Trace(id);
   }
   return NotFound(path);
-}
-
-AdminResponse AdminEndpoint::Metrics(bool json) const {
-  if (json) {
-    return AdminResponse{200, "application/json", server_->metrics()->RenderJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; version=0.0.4; charset=utf-8",
-                       server_->metrics()->RenderPrometheus()};
-}
-
-AdminResponse AdminEndpoint::Healthz() const {
-  // One watchdog pass per probe: the verdict is as fresh as the request,
-  // whether or not the background cadence thread is running.
-  const std::vector<HealthReport> reports = server_->CollectHealth();
-  const HealthState aggregate = AggregateHealth(reports);
-  AdminResponse response;
-  response.status = aggregate == HealthState::kUnhealthy ? 503 : 200;
-  response.content_type = "application/json";
-  response.body = RenderHealthJson(reports) + "\n";
-  return response;
-}
-
-AdminResponse AdminEndpoint::Status(bool json) const {
-  const std::vector<HealthReport> reports = server_->CollectHealth();
-  if (json) {
-    std::ostringstream out;
-    out << "{\"server\":\"" << JsonEscape(server_->id()) << "\",\"aggregate\":\""
-        << HealthStateName(AggregateHealth(reports)) << "\",\"applied_position\":"
-        << server_->base()->applied_position() << ",\"durable_position\":"
-        << server_->base()->durable_position() << ",\"apply_records\":"
-        << server_->base()->apply_records() << ",\"apply_batches\":"
-        << server_->base()->apply_batches() << ",\"components\":" << RenderHealthJson(reports)
-        << "}\n";
-    return AdminResponse{200, "application/json", out.str()};
-  }
-  std::ostringstream out;
-  out << "server " << server_->id() << ": " << HealthStateName(AggregateHealth(reports))
-      << "\n";
-  out << "  applied=" << server_->base()->applied_position()
-      << " durable=" << server_->base()->durable_position()
-      << " records=" << server_->base()->apply_records()
-      << " batches=" << server_->base()->apply_batches() << "\n";
-  char line[256];
-  std::snprintf(line, sizeof(line), "  %-18s %-10s %s\n", "component", "state", "reason");
-  out << line;
-  for (const HealthReport& report : reports) {
-    std::snprintf(line, sizeof(line), "  %-18s %-10s %s\n", report.component.c_str(),
-                  HealthStateName(report.state),
-                  report.reason.empty() ? "-" : report.reason.c_str());
-    out << line;
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", out.str()};
-}
-
-AdminResponse AdminEndpoint::Stack() const {
-  std::ostringstream out;
-  BaseEngine* base = server_->base();
-  out << "{\"server\":\"" << JsonEscape(server_->id()) << "\""
-      << ",\"applied_position\":" << base->applied_position()
-      << ",\"durable_position\":" << base->durable_position()
-      << ",\"apply_records\":" << base->apply_records()
-      << ",\"apply_batches\":" << base->apply_batches()
-      << ",\"apply_busy_micros\":" << base->apply_busy_micros() << ",\"stack\":[";
-  // Bottom-up, base first — the order entries flow on the apply path.
-  {
-    const HealthReport health = base->HealthCheck();
-    out << "{\"name\":\"base\",\"enabled\":true,\"health\":\""
-        << HealthStateName(health.state) << "\",\"reason\":\"" << JsonEscape(health.reason)
-        << "\"}";
-  }
-  for (StackableEngine* engine : server_->engines()) {
-    const HealthReport health = engine->HealthCheck();
-    out << ",{\"name\":\"" << JsonEscape(engine->name()) << "\",\"enabled\":"
-        << (engine->enabled() ? "true" : "false") << ",\"health\":\""
-        << HealthStateName(health.state) << "\",\"reason\":\"" << JsonEscape(health.reason)
-        << "\"}";
-  }
-  out << "]}\n";
-  return AdminResponse{200, "application/json", out.str()};
-}
-
-AdminResponse AdminEndpoint::Top(bool json) const {
-  if (json) {
-    return AdminResponse{200, "application/json", server_->series()->RenderJson(10) + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", server_->series()->RenderTable(10)};
-}
-
-AdminResponse AdminEndpoint::Series() const {
-  return AdminResponse{200, "application/json", server_->series()->RenderJson() + "\n"};
-}
-
-AdminResponse AdminEndpoint::Flight() const {
-  return AdminResponse{200, "text/plain; charset=utf-8", server_->flight_recorder()->Dump()};
-}
-
-AdminResponse AdminEndpoint::Trace(uint64_t trace_id) const {
-  Tracer* tracer = server_->tracer();
-  if (tracer == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8", "tracing is not enabled\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", tracer->Render(trace_id)};
-}
-
-AdminResponse AdminEndpoint::Latency(bool json) const {
-  LatencyAttributor* latency = server_->latency();
-  if (latency == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "latency attribution is not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", latency->RenderLatencyJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", latency->RenderLatency()};
-}
-
-AdminResponse AdminEndpoint::Slow(bool json) const {
-  LatencyAttributor* latency = server_->latency();
-  if (latency == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "latency attribution is not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", latency->RenderSlowListJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", latency->RenderSlowList()};
-}
-
-AdminResponse AdminEndpoint::SlowDetail(uint64_t trace_id, bool json) const {
-  LatencyAttributor* latency = server_->latency();
-  if (latency == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "latency attribution is not enabled\n"};
-  }
-  const std::optional<std::string> body =
-      json ? latency->RenderSlowDetailJson(trace_id) : latency->RenderSlowDetail(trace_id);
-  if (!body.has_value()) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "no slow trace " + std::to_string(trace_id) + "\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", *body + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", *body};
-}
-
-AdminResponse AdminEndpoint::Workload(bool json) const {
-  WorkloadAttributor* workload = server_->workload();
-  if (workload == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "workload attribution is not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", workload->RenderWorkloadJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", workload->RenderWorkload()};
-}
-
-AdminResponse AdminEndpoint::TopKeys(bool json) const {
-  WorkloadAttributor* workload = server_->workload();
-  if (workload == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "workload attribution is not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", workload->RenderTopKeysJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", workload->RenderTopKeys()};
-}
-
-AdminResponse AdminEndpoint::Digest(bool json) const {
-  auto* digest = dynamic_cast<DigestEngine*>(server_->FindEngine("digest"));
-  if (digest == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "digest beacons are not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", digest->RenderJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", digest->Render()};
-}
-
-AdminResponse AdminEndpoint::Divergence(bool json) const {
-  auto* digest = dynamic_cast<DigestEngine*>(server_->FindEngine("digest"));
-  if (digest == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "digest beacons are not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", digest->tracker()->RenderJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", digest->tracker()->Render()};
-}
-
-AdminResponse AdminEndpoint::TopClients(bool json) const {
-  WorkloadAttributor* workload = server_->workload();
-  if (workload == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "workload attribution is not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", workload->RenderTopClientsJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", workload->RenderTopClients()};
 }
 
 AdminServer::AdminServer(AdminEndpoint endpoint, Options options)

@@ -47,8 +47,9 @@ struct AdminResponse {
 
 class AdminEndpoint {
  public:
-  // Routes serve `server`'s metrics/health/stack; the server must outlive
-  // the endpoint. `tracer` may be null (then /trace returns 404).
+  // Routes serve `server`'s metrics/health/stack and its planes; the server
+  // must outlive the endpoint. A route whose plane (or tracer) the server
+  // runs without returns 404 "<plane> is not enabled".
   explicit AdminEndpoint(ClusterServer* server);
 
   // Dispatches one request path ("/metrics", "/trace/7", ...). The only
@@ -57,23 +58,6 @@ class AdminEndpoint {
   AdminResponse Handle(const std::string& path) const;
 
  private:
-  AdminResponse Metrics(bool json) const;
-  AdminResponse Healthz() const;
-  AdminResponse Status(bool json) const;
-  AdminResponse Stack() const;
-  AdminResponse Top(bool json) const;
-  AdminResponse Series() const;
-  AdminResponse Flight() const;
-  AdminResponse Trace(uint64_t trace_id) const;
-  AdminResponse Latency(bool json) const;
-  AdminResponse Slow(bool json) const;
-  AdminResponse SlowDetail(uint64_t trace_id, bool json) const;
-  AdminResponse Workload(bool json) const;
-  AdminResponse TopKeys(bool json) const;
-  AdminResponse TopClients(bool json) const;
-  AdminResponse Digest(bool json) const;
-  AdminResponse Divergence(bool json) const;
-
   ClusterServer* server_;
 };
 

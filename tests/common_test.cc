@@ -1,18 +1,23 @@
 // Unit tests for src/common: serde, futures, metrics, checksum, clocks,
-// blocking queue, scheduler.
+// blocking queue, scheduler, JSON output.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <thread>
 
 #include "src/common/blocking_queue.h"
 #include "src/common/checksum.h"
 #include "src/common/clock.h"
+#include "src/common/divergence.h"
 #include "src/common/future.h"
+#include "src/common/json.h"
+#include "src/common/latency.h"
 #include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/common/scheduler.h"
 #include "src/common/serde.h"
 #include "src/core/entry.h"
+#include "src/core/health.h"
 
 namespace delos {
 namespace {
@@ -733,6 +738,114 @@ TEST(ParseIdsTest, MalformedOrAbsentBlobMeansNoIds) {
   // Not even a well-formed header envelope.
   entry.headers[kTraceHeaderName] = "\xff";
   EXPECT_TRUE(ParseIds(entry, kTraceHeaderName).empty());
+}
+
+// --- JSON output ---
+
+TEST(JsonEscapeTest, EveryByteClass) {
+  EXPECT_EQ(JsonEscape(""), "");
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(JsonEscape("a\rb"), "a\\rb");
+  EXPECT_EQ(JsonEscape("a\tb"), "a\\tb");
+  EXPECT_EQ(JsonEscape("a\x01" "b"), "a\\u0001b");
+  EXPECT_EQ(JsonEscape("a\x1f" "b"), "a\\u001fb");
+  EXPECT_EQ(JsonEscape(std::string("a\0b", 3)), "a\\u0000b");
+  EXPECT_EQ(JsonEscape("\x20~\x7f"), "\x20~\x7f");
+  // Bytes >= 0x80 (UTF-8 sequences) pass through untouched.
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9 \xff"), "caf\xc3\xa9 \xff");
+}
+
+TEST(JsonWriterTest, EmptyContainers) {
+  EXPECT_EQ(JsonWriter().BeginObject().EndObject().str(), "{}");
+  EXPECT_EQ(JsonWriter().BeginArray().EndArray().str(), "[]");
+  JsonWriter json;
+  json.BeginObject().Key("o").BeginObject().EndObject().Key("a").BeginArray().EndArray();
+  json.EndObject();
+  EXPECT_EQ(json.str(), R"({"o":{},"a":[]})");
+}
+
+TEST(JsonWriterTest, NestingPlacesEveryComma) {
+  JsonWriter json;
+  json.BeginObject().Key("a").Int(1).Key("b").BeginArray().Int(1).Int(2);
+  json.BeginObject().EndObject().BeginArray().BeginArray().EndArray().Int(3).EndArray();
+  json.EndArray();
+  json.Key("c").BeginObject().Key("d").BeginArray().EndArray().Key("e").Null().EndObject();
+  json.Key("f").BeginArray().BeginObject().Key("g").Bool(true).EndObject();
+  json.BeginObject().Key("h").Bool(false).EndObject().EndArray();
+  json.EndObject();
+  EXPECT_EQ(json.str(),
+            R"({"a":1,"b":[1,2,{},[[],3]],"c":{"d":[],"e":null},)"
+            R"("f":[{"g":true},{"h":false}]})");
+}
+
+TEST(JsonWriterTest, ValueForms) {
+  JsonWriter json;
+  json.BeginArray()
+      .Int(-7)
+      .Int(uint64_t{18446744073709551615ULL})
+      .Int(int64_t{-9223372036854775807LL - 1})
+      .Fixed(70.0, 1)
+      .Fixed(2.25, 1)
+      .Fixed(-0.04, 1)
+      .Double(20.333333)
+      .Double(110)
+      .Double(1e-7)
+      .Double(0)
+      .String("q\"\t")
+      .Raw(R"({"x":1})")
+      .EndArray();
+  EXPECT_EQ(json.str(),
+            R"([-7,18446744073709551615,-9223372036854775808,70.0,2.2,-0.0,)"
+            R"(20.3333,110,1e-07,0,"q\"\t",{"x":1}])");
+}
+
+TEST(JsonWriterTest, KeysAreEscaped) {
+  JsonWriter json;
+  json.BeginObject().Key("a\"b\tc").String("v").EndObject();
+  EXPECT_EQ(json.str(), R"({"a\"b\tc":"v"})");
+}
+
+// Double() writes what an iostream writes by default, the form the metrics
+// JSON used before it moved onto the writer.
+TEST(JsonWriterTest, DoubleMatchesTheStreamDefault) {
+  for (const double value : {0.0, 1.5, 20.333333333, 1234567.0, 1e21, 3e-5, -42.125}) {
+    std::ostringstream stream;
+    stream << value;
+    JsonWriter json;
+    json.Double(value);
+    EXPECT_EQ(json.str(), stream.str());
+  }
+}
+
+// A metric name with a TAB or another control byte still yields valid JSON.
+TEST(JsonWriterTest, MetricNamesWithControlBytesAreEscaped) {
+  MetricsRegistry metrics;
+  metrics.GetCounter("a\tb")->Increment(2);
+  metrics.GetGauge("c\x02")->Set(1);
+  EXPECT_EQ(metrics.RenderJson(),
+            R"({"counters":{"a\tb":2},"gauges":{"c\u0002":1},"histograms":{}})");
+}
+
+// TAB and CR in plane strings take the short escapes in every render.
+TEST(JsonWriterTest, PlaneRendersWriteTabAndCrAsShortEscapes) {
+  const std::string health =
+      RenderHealthJson({HealthReport{"base", HealthState::kDegraded, "lag\tby\r3", 3}});
+  EXPECT_NE(health.find(R"("reason":"lag\tby\r3")"), std::string::npos) << health;
+
+  DivergenceOptions options;
+  options.server = "s\t0";
+  DivergenceTracker tracker(options);
+  EXPECT_EQ(tracker.RenderJson().rfind(R"({"server":"s\t0",)", 0), 0u);
+
+  MetricsRegistry metrics;
+  LatencyAttributor::Options latency_options;
+  latency_options.metrics = &metrics;
+  latency_options.server = "s\r0";
+  LatencyAttributor latency(latency_options);
+  EXPECT_EQ(latency.RenderLatencyJson().rfind(R"({"server":"s\r0",)", 0), 0u);
 }
 
 }  // namespace

@@ -226,6 +226,32 @@ TEST(DivergenceTrackerTest, LatchesEarliestWindowAndRecordsFlightEvent) {
   EXPECT_TRUE(saw_divergence_event);
 }
 
+// A downstream that is never proposed to: the digest engine only needs one
+// to register its upcall with.
+class IdleDownstream : public IEngine {
+ public:
+  Future<std::any> Propose(LogEntry entry) override {
+    return MakeErrorFuture<std::any>(std::make_exception_ptr(LogUnavailableError("idle")));
+  }
+  Future<ROTxn> Sync() override {
+    return MakeErrorFuture<ROTxn>(std::make_exception_ptr(LogUnavailableError("idle")));
+  }
+  void RegisterUpcall(IApplicator* applicator) override {}
+  void SetTrimPrefix(LogPos pos) override {}
+};
+
+// The server id is escaped like every other JSON string, so an id with a
+// quote or a backslash cannot break the /digest document.
+TEST(DigestEngineTest, RenderJsonEscapesTheServerId) {
+  LocalStore store;
+  IdleDownstream downstream;
+  DigestEngine::Options options;
+  options.server_id = "srv\"0\\";
+  DigestEngine digest(options, &downstream, &store);
+  const std::string json = digest.RenderJson();
+  EXPECT_EQ(json.rfind("{\"server\":\"srv\\\"0\\\\\",", 0), 0u) << json;
+}
+
 TEST(ReadCacheSealTest, SealRecordsFlightEventWithDroppedEntryCount) {
   FlightRecorder recorder(64);
   ReadCacheOptions options;

@@ -205,13 +205,6 @@ TEST(PrometheusTest, NameSanitization) {
   EXPECT_EQ(PrometheusName("already_fine:total"), "already_fine:total");
 }
 
-TEST(PrometheusTest, LabelValueEscaping) {
-  EXPECT_EQ(PrometheusLabelValue("plain"), "plain");
-  EXPECT_EQ(PrometheusLabelValue("a\"b"), "a\\\"b");
-  EXPECT_EQ(PrometheusLabelValue("a\\b"), "a\\\\b");
-  EXPECT_EQ(PrometheusLabelValue("a\nb"), "a\\nb");
-}
-
 // Round-trip lint: every line RenderPrometheus emits — even for hostile
 // metric names — must parse under the exposition grammar.
 TEST(PrometheusTest, RenderedExpositionPassesLint) {

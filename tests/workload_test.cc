@@ -309,6 +309,23 @@ TEST(WorkloadAttributorTest, ProposeTapBuildsThePerLayerTable) {
   EXPECT_NE(json.find("\"layer\":\"base.append\""), std::string::npos) << json;
 }
 
+// The text render, the JSON render, SketchBytes() and the gauge all report
+// one footprint, per-layer table included.
+TEST(WorkloadAttributorTest, EveryRenderReportsTheSameSketchBytes) {
+  MetricsRegistry metrics;
+  WorkloadAttributor attributor(ExactOptions(&metrics));
+  const std::vector<uint64_t> clients{1};
+  attributor.ChargePropose("batching.queue", clients, 256);
+  attributor.ChargeApply("/k", clients, 10);
+  attributor.CloseWindow(0);
+  const std::string bytes = std::to_string(attributor.SketchBytes());
+  EXPECT_EQ(std::to_string(metrics.GetGauge("workload.sketch.bytes")->value()), bytes);
+  const std::string text = attributor.RenderWorkload();
+  EXPECT_NE(text.find("sketch bytes: " + bytes + " / budget"), std::string::npos) << text;
+  const std::string json = attributor.RenderWorkloadJson();
+  EXPECT_NE(json.find("\"sketch_bytes\":" + bytes + ","), std::string::npos) << json;
+}
+
 TEST(WorkloadAttributorTest, LongKeysAreTruncatedAndEmptyKeysPooled) {
   MetricsRegistry metrics;
   WorkloadAttributor attributor(ExactOptions(&metrics));
