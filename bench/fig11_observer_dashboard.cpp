@@ -9,7 +9,9 @@
 //    the wait is only for the batch in flight and the gap is small at p50;
 //  * the SessionOrderEngine line sits BELOW the BaseEngine line, despite
 //    being above it in the stack — the short-circuit of §4.3 (its propose is
-//    completed from postApply, before the sub-stack's future resolves).
+//    completed from postApply: the BaseEngine settles it in the batch's
+//    completion pass ahead of its own proposers, so before the sub-stack's
+//    future resolves).
 #include <cstdio>
 
 #include "bench/bench_util.h"

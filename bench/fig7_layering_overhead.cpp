@@ -49,7 +49,8 @@ void PrintShares(const char* title, ApplyProfiler* profiler,
     }
     above_share = share;
   }
-  for (const char* label : {"base.beginTX", "base.commitTX", "postApply", "app.postApply"}) {
+  for (const char* label :
+       {"base.beginTX", "base.commitTX", "postApply", "app.postApply", "base.complete"}) {
     auto it = inclusive.find(label);
     if (it != inclusive.end()) {
       std::printf("%-24s %15.1f%%\n", label,

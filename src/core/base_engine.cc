@@ -1,6 +1,7 @@
 #include "src/core/base_engine.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/common/logging.h"
 #include "src/common/random.h"
@@ -80,6 +81,7 @@ void BaseEngine::AttachProbe(const Probe* probe) {
   probe_ = probe;
   apply_slot_ = probe->Slot("base.apply");
   postapply_slot_ = probe->Slot("postApply");
+  complete_slot_ = probe->Slot("base.complete");
   MetricsRegistry* metrics = probe->metrics;
   if (metrics != nullptr) {
     batch_size_hist_ = metrics->GetHistogram("base.apply.batch_size");
@@ -124,7 +126,6 @@ void BaseEngine::Stop() {
     { std::lock_guard<std::mutex> lock(sync_mu_); }
     { std::lock_guard<std::mutex> lock(prefetch_mu_); }
     apply_cv_.notify_all();
-    applied_cv_.notify_all();
     sync_cv_.notify_all();
     prefetch_cv_.notify_all();
     if (apply_thread_.joinable()) {
@@ -140,12 +141,12 @@ void BaseEngine::Stop() {
       housekeeping_thread_.join();
     }
   }
-  // Drain in-flight append continuations before touching pending_: a
-  // Propose that raced this Stop may still have a callback running inside
-  // the shared log, and it dereferences `this`. Runs on every Stop() call
-  // (the destructor calls Stop again) so the object never dies under a live
-  // callback.
-  while (inflight_appends_.load(std::memory_order_acquire) != 0) {
+  // Drain in-flight append and tail-check continuations before touching
+  // pending_: a Propose that raced this Stop, or the sync thread's last tail
+  // check, may still have a callback running inside the shared log, and it
+  // dereferences `this`. Runs on every Stop() call (the destructor calls
+  // Stop again) so the object never dies under a live callback.
+  while (inflight_callbacks_.load(std::memory_order_acquire) != 0) {
     RealClock::Instance()->SleepMicros(50);
   }
   if (!first) {
@@ -194,7 +195,7 @@ Future<std::any> BaseEngine::Propose(LogEntry entry) {
     auto [it, inserted] = pending_.emplace(seq, Promise<std::any>());
     future = it->second.GetFuture();
   }
-  inflight_appends_.fetch_add(1, std::memory_order_acq_rel);
+  inflight_callbacks_.fetch_add(1, std::memory_order_acq_rel);
   log_->Append(std::move(bytes))
       .Then([this, seq, frame](Result<LogPos> result) {
         frame.Span("base.append");
@@ -203,7 +204,7 @@ Future<std::any> BaseEngine::Propose(LogEntry entry) {
                        frame.first_trace_id(), result.ok() ? result.value() : 0);
         // Once shutdown began, the apply/sync machinery may already be torn
         // down: just fail the proposal instead of scheduling playback. Stop()
-        // drains inflight_appends_, so `this` outlives this callback.
+        // drains inflight_callbacks_, so `this` outlives this callback.
         if (shutdown_.load(std::memory_order_acquire)) {
           FailPending(seq,
                       std::make_exception_ptr(LogUnavailableError("engine stopped before apply")));
@@ -212,7 +213,7 @@ Future<std::any> BaseEngine::Propose(LogEntry entry) {
         } else {
           RequestPlayTo(result.value());
         }
-        inflight_appends_.fetch_sub(1, std::memory_order_acq_rel);
+        inflight_callbacks_.fetch_sub(1, std::memory_order_acq_rel);
       });
   frame.RootSpanOnCompletion(future);
   return future;
@@ -239,16 +240,26 @@ Future<ROTxn> BaseEngine::Sync() {
   }
   Promise<ROTxn> promise;
   Future<ROTxn> future = promise.GetFuture();
+  bool wake;
   {
     std::lock_guard<std::mutex> lock(sync_mu_);
+    // While a tail check is in flight the sync thread cannot serve this
+    // sync before the check returns, and that wakes it anyway.
+    wake = sync_waiters_.empty() && !tail_check_in_flight_;
     sync_waiters_.push_back(std::move(promise));
   }
-  sync_cv_.notify_one();
+  if (wake) {
+    sync_cv_.notify_one();
+  }
   return future;
 }
 
 void BaseEngine::SetTrimPrefix(LogPos pos) {
   trim_allowed_.store(pos, std::memory_order_release);
+}
+
+void BaseEngine::CompleteAfterPublish(Promise<std::any> promise, std::any result) {
+  completions_.emplace_back(std::move(promise), std::move(result));
 }
 
 void BaseEngine::RequestPlayTo(LogPos pos) {
@@ -271,14 +282,6 @@ void BaseEngine::RequestPlayTo(LogPos pos) {
     lag_gauge_->Set(target > applied ? static_cast<int64_t>(target - applied) : 0);
   }
   apply_cv_.notify_all();
-}
-
-bool BaseEngine::WaitForApply(LogPos target) {
-  std::unique_lock<std::mutex> lock(apply_mu_);
-  applied_cv_.wait(lock, [&] {
-    return shutdown_.load() || applied_pos_.load(std::memory_order_acquire) >= target;
-  });
-  return !shutdown_.load();
 }
 
 size_t BaseEngine::prefetch_queue_depth() const {
@@ -459,7 +462,7 @@ void BaseEngine::ApplyThreadMain() {
 
 // Group-commit apply (the hottest path in the system): the whole ReadRange
 // batch shares one LocalStore transaction, so the per-record costs of the
-// old pipeline — BeginRW, cursor Put, Commit, applied_cv_ broadcast, and a
+// old pipeline — BeginRW, cursor Put, Commit, applied-position publish, and a
 // pending_mu_ acquisition — are paid once per batch. Each record still runs
 // inside its own savepoint so a DeterministicError rolls back exactly that
 // record (§3.4). The cursor committed with the batch equals the last record
@@ -636,47 +639,56 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
     batches_counter_->Increment();
   }
 
-  // Publish progress once per batch, before completing the proposers, so
-  // that once a propose returns, applied_position() already covers it. The
-  // (otherwise empty) apply_mu_ critical section pairs with WaitForApply's
-  // check-then-wait so the broadcast cannot land in its window; it also
-  // snapshots play_target_ for the lag gauge.
-  applied_pos_.store(batch_last, std::memory_order_release);
+  // Publish progress once per batch: after postApply, so soft state such as
+  // watches is in place before a read can observe the batch, and before the
+  // completion pass, so that once a propose returns, applied_position()
+  // already covers it. The store and the sync thread's wait are both
+  // sequentially consistent: either the sync thread sees this position when
+  // it re-checks, or this thread sees its wake-up target and wakes it.
+  applied_pos_.store(batch_last);
   last_progress_micros_.store(options_.clock->NowMicros(), std::memory_order_relaxed);
-  LogPos play_target_snapshot;
-  {
-    std::lock_guard<std::mutex> lock(apply_mu_);
-    play_target_snapshot = play_target_;
+  if (batch_last >= sync_wake_at_.load()) {
+    { std::lock_guard<std::mutex> lock(sync_mu_); }
+    sync_cv_.notify_one();
   }
   if (lag_gauge_ != nullptr) {
+    LogPos play_target_snapshot;
+    {
+      std::lock_guard<std::mutex> lock(apply_mu_);
+      play_target_snapshot = play_target_;
+    }
     lag_gauge_->Set(play_target_snapshot > batch_last
                         ? static_cast<int64_t>(play_target_snapshot - batch_last)
                         : 0);
   }
-  applied_cv_.notify_all();
 
-  // Batched completion: collect every waiting promise under one pending_mu_
-  // acquisition, settle them outside the lock.
-  std::vector<std::pair<Promise<std::any>, size_t>> completions;
+  // Completion pass, in its own profiler frame: first the proposals layers
+  // above handed over from postApply, in log order, then this engine's own
+  // pending promises, collected under one pending_mu_ acquisition and
+  // settled outside it. Their continuations (a batch's waiters, a client's
+  // callback) run here.
   {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      if (!outcomes[i].local_seq.has_value()) {
-        continue;
-      }
-      auto it = pending_.find(*outcomes[i].local_seq);
-      if (it != pending_.end()) {
-        completions.emplace_back(std::move(it->second), i);
-        pending_.erase(it);
+    ApplyProfiler::Scope scope(probe_->profiler, complete_slot_);
+    for (auto& [promise, result] : completions_) {
+      SettleProposal(promise, std::move(result));
+    }
+    completions_.clear();
+    std::vector<std::pair<Promise<std::any>, size_t>> own;
+    {
+      std::lock_guard<std::mutex> lock(pending_mu_);
+      for (size_t i = 0; i < outcomes.size(); ++i) {
+        if (!outcomes[i].local_seq.has_value()) {
+          continue;
+        }
+        auto it = pending_.find(*outcomes[i].local_seq);
+        if (it != pending_.end()) {
+          own.emplace_back(std::move(it->second), i);
+          pending_.erase(it);
+        }
       }
     }
-  }
-  for (auto& [promise, index] : completions) {
-    std::any& result = outcomes[index].result;
-    if (IsApplyError(result)) {
-      promise.SetException(std::any_cast<ApplyError>(result).error);
-    } else {
-      promise.SetValue(std::move(result));
+    for (auto& [promise, index] : own) {
+      SettleProposal(promise, std::move(outcomes[index].result));
     }
   }
 
@@ -688,42 +700,95 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
   return true;
 }
 
+// Pipelined syncs (§3.2: syncs queue behind a single outstanding tail
+// check). The thread issues a tail check for every sync queued so far; the
+// check's continuation hands the tail back, and the group it served parks
+// under its play target. A parked group settles here with one snapshot once
+// applied_pos_ reaches its target. Groups that are ready settle before the
+// next check goes out, so their callers' next syncs can still join it; the
+// syncs queued meanwhile get that check at once, while earlier groups wait
+// for the apply thread.
 void BaseEngine::SyncThreadMain() {
+  constexpr LogPos kNothingParked = std::numeric_limits<LogPos>::max();
+  // The syncs the tail check in flight serves.
+  std::vector<Promise<ROTxn>> checking;
+  // Syncs whose tail check returned, by play target.
+  std::map<LogPos, std::vector<Promise<ROTxn>>> parked;
+  std::unique_lock<std::mutex> lock(sync_mu_);
   while (true) {
-    std::vector<Promise<ROTxn>> batch;
-    {
-      std::unique_lock<std::mutex> lock(sync_mu_);
-      sync_cv_.wait(lock, [&] { return shutdown_.load() || !sync_waiters_.empty(); });
-      if (shutdown_.load()) {
-        return;
-      }
-      batch.swap(sync_waiters_);
+    sync_cv_.wait(lock, [&] {
+      const LogPos wake_at = parked.empty() ? kNothingParked : parked.begin()->first;
+      sync_wake_at_.store(wake_at);
+      return shutdown_.load() || tail_result_.has_value() ||
+             (!tail_check_in_flight_ && !sync_waiters_.empty()) || applied_pos_.load() >= wake_at;
+    });
+    if (shutdown_.load()) {
+      break;
     }
-    // One tail check serves the whole batch (§3.2: syncs queue behind a
-    // single outstanding tail check).
-    LogPos tail;
-    try {
-      tail = log_->CheckTail().Get();
-    } catch (const std::exception&) {
-      for (auto& waiter : batch) {
-        waiter.SetException(std::current_exception());
-      }
-      continue;
-    }
-    const LogPos target = (tail == 0) ? 0 : tail - 1;
-    if (target > 0) {
-      RequestPlayTo(target);
-      if (!WaitForApply(target)) {
-        for (auto& waiter : batch) {
-          waiter.SetException(std::make_exception_ptr(LogUnavailableError("engine stopped")));
+    if (tail_result_.has_value()) {
+      Result<LogPos> result = *std::move(tail_result_);
+      tail_result_.reset();
+      tail_check_in_flight_ = false;
+      std::vector<Promise<ROTxn>> served = std::move(checking);
+      checking.clear();
+      if (!result.ok()) {
+        lock.unlock();
+        for (auto& waiter : served) {
+          waiter.SetException(result.error());
         }
-        return;
+        lock.lock();
+        continue;
+      }
+      const LogPos tail = result.value();
+      const LogPos target = (tail == 0) ? 0 : tail - 1;
+      std::vector<Promise<ROTxn>>& group = parked[target];
+      group.insert(group.end(), std::make_move_iterator(served.begin()),
+                   std::make_move_iterator(served.end()));
+      if (target > 0) {
+        lock.unlock();
+        RequestPlayTo(target);
+        lock.lock();
       }
     }
-    ROTxn snapshot = store_->Snapshot();
-    for (auto& waiter : batch) {
-      waiter.SetValue(snapshot);
+    const LogPos applied = applied_pos_.load();
+    if (!parked.empty() && parked.begin()->first <= applied) {
+      std::vector<Promise<ROTxn>> ready;
+      const auto end = parked.upper_bound(applied);
+      for (auto it = parked.begin(); it != end; ++it) {
+        ready.insert(ready.end(), std::make_move_iterator(it->second.begin()),
+                     std::make_move_iterator(it->second.end()));
+      }
+      parked.erase(parked.begin(), end);
+      lock.unlock();
+      ROTxn snapshot = store_->Snapshot();
+      for (auto& waiter : ready) {
+        waiter.SetValue(snapshot);
+      }
+      lock.lock();
     }
+    if (!tail_check_in_flight_ && !sync_waiters_.empty()) {
+      checking.swap(sync_waiters_);
+      tail_check_in_flight_ = true;
+      inflight_callbacks_.fetch_add(1, std::memory_order_acq_rel);
+      lock.unlock();
+      log_->CheckTail().Then([this](Result<LogPos> result) {
+        {
+          std::lock_guard<std::mutex> guard(sync_mu_);
+          tail_result_.emplace(std::move(result));
+        }
+        sync_cv_.notify_one();
+        inflight_callbacks_.fetch_sub(1, std::memory_order_acq_rel);
+      });
+      lock.lock();
+    }
+  }
+  lock.unlock();
+  for (auto& [target, group] : parked) {
+    checking.insert(checking.end(), std::make_move_iterator(group.begin()),
+                    std::make_move_iterator(group.end()));
+  }
+  for (auto& waiter : checking) {
+    waiter.SetException(std::make_exception_ptr(LogUnavailableError("engine stopped")));
   }
 }
 

@@ -6,14 +6,24 @@
 //    that is durable (append committed), failure-atomic (applied inside a
 //    LocalStore transaction), and linearizable (ordered by the log).
 //  * Sync checks the log tail and plays forward to it; multiple syncs
-//    coalesce behind a single outstanding tail check.
+//    coalesce behind a single outstanding tail check. Tail checks are
+//    pipelined: once a check returns target T, the syncs it served park
+//    until applied_position() reaches T, and the syncs queued meanwhile get
+//    the next check without waiting for the apply thread. The sync thread
+//    settles each parked group with one snapshot; the apply thread only
+//    wakes it.
 //  * The apply thread is the only LocalStore writer. It plays the log in
 //    group-commit batches: one LocalStore transaction per ReadRange batch
 //    (up to play_batch_size records), each record applied inside its own
-//    savepoint-nested sub-transaction, then a single cursor update + commit,
-//    one applied-position publish, and one batched settlement of pending
-//    propose promises. The cursor committed with a batch always equals the
-//    last record applied in it, so replay after a crash is exact.
+//    savepoint-nested sub-transaction, then a single cursor update + commit.
+//    The batch then ends in a fixed order: postApply for every record, one
+//    applied-position publish, and one completion pass. The pass settles the
+//    proposals that layers above complete from postApply
+//    (CompleteAfterPublish), in log order, and then this engine's own
+//    pending proposals. So a proposer always sees applied_position() cover
+//    its entry, and a sync never waits for the proposers' continuations.
+//    The cursor committed with a batch always equals the last record
+//    applied in it, so replay after a crash is exact.
 //  * With prefetching on (the default), a read-ahead thread keeps batches
 //    of log records fetched ahead of the apply cursor in a bounded queue,
 //    overlapping network reads with local apply work; prefetch_batches = 0
@@ -32,11 +42,14 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/engine.h"
@@ -144,6 +157,9 @@ class BaseEngine : public IEngine, public IHealthCheckable {
   Future<ROTxn> Sync() override;
   void RegisterUpcall(IApplicator* applicator) override;
   void SetTrimPrefix(LogPos pos) override;
+  // Queues the proposal for the current batch's completion pass. Apply
+  // thread only (called from a layer's PostApply).
+  void CompleteAfterPublish(Promise<std::any> promise, std::any result) override;
 
   // Switches the engine to its server's instrumentation probe (which must
   // outlive it); call before Start. Until then the engine records into the
@@ -216,9 +232,6 @@ class BaseEngine : public IEngine, public IHealthCheckable {
   // Removes `seq` from the pending map and fails its promise (no-op if the
   // proposal already completed).
   void FailPending(uint64_t seq, std::exception_ptr error);
-  // Blocks until applied_pos_ >= target or shutdown; returns false on
-  // shutdown.
-  bool WaitForApply(LogPos target);
   void Fatal(const std::string& message);
 
   std::shared_ptr<ISharedLog> log_;
@@ -239,10 +252,10 @@ class BaseEngine : public IEngine, public IHealthCheckable {
   std::atomic<uint64_t> batches_committed_{0};
   std::atomic<uint64_t> next_seq_{1};
   std::atomic<bool> started_{false};
-  // Append continuations still running (or queued) inside the shared log.
-  // Stop() drains this to zero so no callback can touch the engine after
-  // teardown.
-  std::atomic<int64_t> inflight_appends_{0};
+  // Append and tail-check continuations still running (or queued) inside
+  // the shared log. Stop() drains this to zero so no callback can touch the
+  // engine after teardown.
+  std::atomic<int64_t> inflight_callbacks_{0};
   // The sinks of the options, until AttachProbe replaces them.
   Probe own_probe_;
   const Probe* probe_ = &own_probe_;
@@ -250,6 +263,7 @@ class BaseEngine : public IEngine, public IHealthCheckable {
   // without a profiler / registry), resolved once per probe.
   std::atomic<int64_t>* apply_slot_ = nullptr;
   std::atomic<int64_t>* postapply_slot_ = nullptr;
+  std::atomic<int64_t>* complete_slot_ = nullptr;
   Histogram* batch_size_hist_ = nullptr;
   Histogram* commit_latency_hist_ = nullptr;
   Counter* records_counter_ = nullptr;
@@ -270,16 +284,27 @@ class BaseEngine : public IEngine, public IHealthCheckable {
 
   std::atomic<bool> shutdown_{false};
   mutable std::mutex apply_mu_;
-  std::condition_variable apply_cv_;      // wakes the apply thread
-  std::condition_variable applied_cv_;    // signals playback progress
+  std::condition_variable apply_cv_;  // wakes the apply thread
   LogPos play_target_ = 0;
 
   std::mutex pending_mu_;
   std::map<uint64_t, Promise<std::any>> pending_;
+  // Proposals handed over by CompleteAfterPublish during the current
+  // batch's postApply, in log order (apply thread only).
+  std::vector<std::pair<Promise<std::any>, std::any>> completions_;
 
   std::mutex sync_mu_;
   std::condition_variable sync_cv_;
+  // Syncs waiting for the next tail check.
   std::vector<Promise<ROTxn>> sync_waiters_;
+  // Whether a tail check is in flight (§3.2 allows one), and its outcome,
+  // stored by its continuation for the sync thread.
+  bool tail_check_in_flight_ = false;
+  std::optional<Result<LogPos>> tail_result_;
+  // The lowest play target a parked sync group waits for (max when none is
+  // parked). The apply thread wakes the sync thread once it publishes a
+  // position at or above it.
+  std::atomic<LogPos> sync_wake_at_{std::numeric_limits<LogPos>::max()};
 
   std::mutex flush_mu_;  // serializes FlushNow with the housekeeping thread
 

@@ -19,6 +19,7 @@
 
 #include <any>
 #include <exception>
+#include <utility>
 
 #include "src/common/future.h"
 #include "src/core/entry.h"
@@ -34,6 +35,16 @@ struct ApplyError {
 };
 
 inline bool IsApplyError(const std::any& result) { return result.type() == typeid(ApplyError); }
+
+// Completes a proposer's promise with the value its entry's apply returned,
+// rethrowing an ApplyError to the proposer.
+inline void SettleProposal(Promise<std::any>& promise, std::any result) {
+  if (IsApplyError(result)) {
+    promise.SetException(std::any_cast<const ApplyError&>(result).error);
+  } else {
+    promise.SetValue(std::move(result));
+  }
+}
 
 // Receives totally ordered log entries (paper: IApplicator).
 class IApplicator {
@@ -70,6 +81,17 @@ class IEngine {
   // as the layers above are concerned. Engines relay the minimum of this
   // constraint and their own opinion (§3.3).
   virtual void SetTrimPrefix(LogPos pos) = 0;
+
+  // Hands over a proposal that a layer above completes from its PostApply
+  // (SessionOrder's short-circuit). The BaseEngine settles it in the
+  // batch's completion pass: after every postApply of the batch and after
+  // applied_position() covers the batch, ahead of its own proposers. So a
+  // proposer woken by it sees its entry applied, and no read waits out the
+  // fan-out. Call only from PostApply. Middle engines forward it down; the
+  // default settles at once.
+  virtual void CompleteAfterPublish(Promise<std::any> promise, std::any result) {
+    SettleProposal(promise, std::move(result));
+  }
 };
 
 // Sentinel for "no trim constraint from above".

@@ -88,6 +88,9 @@ class StackableEngine : public IEngine, public IApplicator, public IHealthChecka
   Future<ROTxn> Sync() override { return downstream_->Sync(); }
   void RegisterUpcall(IApplicator* applicator) override { upstream_ = applicator; }
   void SetTrimPrefix(LogPos pos) override;
+  void CompleteAfterPublish(Promise<std::any> promise, std::any result) override {
+    downstream_->CompleteAfterPublish(std::move(promise), std::move(result));
+  }
 
   // IApplicator (final: subclasses hook ApplyData / ApplyControl / ...).
   std::any Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) final;

@@ -109,8 +109,7 @@ Future<std::any> BatchingEngine::Propose(LogEntry entry) {
   // no engine above.
   probe().ChargePropose("batching.queue", entry);
   Waiter waiter;
-  waiter.promise = std::make_shared<Promise<std::any>>();
-  Future<std::any> future = waiter.promise->GetFuture();
+  Future<std::any> future = waiter.promise.GetFuture();
   waiter.frame = ProposeFrame(probe(), &entry);
   const size_t bytes = entry.SerializedSize();
   std::unique_lock<std::mutex> lock(pacing_->mu);
@@ -158,7 +157,9 @@ BatchingEngine::Batch BatchingEngine::TakeOpenBatch() {
 
 void BatchingEngine::ProposeBatch(Batch batch) {
   std::vector<LogEntry>& entries = batch.entries;
-  std::vector<Waiter>& waiters = batch.waiters;
+  // One shared vector holds the batch's waiters for the completion
+  // callback (whose std::function must be copyable).
+  auto waiters = std::make_shared<std::vector<Waiter>>(std::move(batch.waiters));
   batches_proposed_.fetch_add(1, std::memory_order_relaxed);
   entries_batched_.fetch_add(entries.size(), std::memory_order_relaxed);
 
@@ -186,7 +187,7 @@ void BatchingEngine::ProposeBatch(Batch batch) {
     // proposal's trace.
     const int64_t flush_micros = tracer->NowMicros();
     std::vector<uint64_t> merged;
-    for (const Waiter& waiter : waiters) {
+    for (const Waiter& waiter : *waiters) {
       waiter.frame.Span("batching.queue", flush_micros);
       merged.insert(merged.end(), waiter.frame.trace_ids().begin(),
                     waiter.frame.trace_ids().end());
@@ -197,7 +198,7 @@ void BatchingEngine::ProposeBatch(Batch batch) {
   }
   downstream()
       ->Propose(std::move(entry))
-      .Then([pacing = pacing_, waiters = std::move(waiters), tracer](Result<std::any> result) {
+      .Then([pacing = pacing_, waiters, tracer](Result<std::any> result) {
         {
           // Release the pacing first: when this was the last batch in
           // flight, the open batch goes downstream now. A flusher already
@@ -208,9 +209,13 @@ void BatchingEngine::ProposeBatch(Batch batch) {
             pacing->engine->FlushDue(lock);
           }
         }
-        const std::vector<std::any>* batch_results = nullptr;
+        // The callback owns its copy of the result, so the sub-results are
+        // moved out to the waiters.
+        std::any value;
+        std::vector<std::any>* batch_results = nullptr;
         if (result.ok()) {
-          batch_results = &std::any_cast<const std::vector<std::any>&>(result.value());
+          value = std::move(result).value();
+          batch_results = std::any_cast<std::vector<std::any>>(&value);
         }
         if (tracer != nullptr) {
           // Sub-entries whose ids were minted here get their client-visible
@@ -218,31 +223,28 @@ void BatchingEngine::ProposeBatch(Batch batch) {
           // per-sub-entry outcome, so a failed constituent is marked failed
           // even when the batch as a whole committed.
           const int64_t end = tracer->NowMicros();
-          for (size_t i = 0; i < waiters.size(); ++i) {
+          for (size_t i = 0; i < waiters->size(); ++i) {
             const bool failed = batch_results == nullptr || i >= batch_results->size() ||
                                 IsApplyError((*batch_results)[i]);
-            waiters[i].frame.RootSpan(end, failed);
+            (*waiters)[i].frame.RootSpan(end, failed);
           }
         }
         if (!result.ok()) {
-          for (const Waiter& waiter : waiters) {
-            waiter.promise->SetException(result.error());
+          for (Waiter& waiter : *waiters) {
+            waiter.promise.SetException(result.error());
           }
           return;
         }
         // The batch apply returned one result per sub-entry.
-        const auto& results = *batch_results;
-        for (size_t i = 0; i < waiters.size(); ++i) {
+        std::vector<std::any>& results = *batch_results;
+        for (size_t i = 0; i < waiters->size(); ++i) {
+          Promise<std::any>& promise = (*waiters)[i].promise;
           if (i >= results.size()) {
-            waiters[i].promise->SetException(std::make_exception_ptr(
+            promise.SetException(std::make_exception_ptr(
                 DelosError("batch result missing for sub-entry")));
             continue;
           }
-          if (IsApplyError(results[i])) {
-            waiters[i].promise->SetException(std::any_cast<ApplyError>(results[i]).error);
-          } else {
-            waiters[i].promise->SetValue(results[i]);
-          }
+          SettleProposal(promise, std::move(results[i]));
         }
       });
 }

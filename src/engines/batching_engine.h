@@ -62,7 +62,7 @@ class BatchingEngine : public StackableEngine {
   static constexpr uint64_t kMsgTypeBatch = 1;
 
   struct Waiter {
-    std::shared_ptr<Promise<std::any>> promise;
+    Promise<std::any> promise;
     // The sub-entry's trace context, opened when it entered the queue (a
     // root frame when this engine minted its id).
     ProposeFrame frame;

@@ -68,8 +68,8 @@ Future<std::any> SessionOrderEngine::Propose(LogEntry entry) {
   if (!enabled()) {
     return downstream()->Propose(std::move(entry));
   }
-  auto promise = std::make_shared<Promise<std::any>>();
-  Future<std::any> future = promise->GetFuture();
+  Promise<std::any> promise;
+  Future<std::any> future = promise.GetFuture();
   // Trace ids are stamped before the entry is copied into the pending map so
   // retries re-propose the same ids — a retried append shows up as extra
   // spans on the *original* trace, which is exactly the causality a debugger
@@ -82,8 +82,8 @@ Future<std::any> SessionOrderEngine::Propose(LogEntry entry) {
     seq = next_seq_++;
     entry.SetHeader(name(), EngineHeader{kMsgTypeApp, EncodeSessionHeader(session_id_, seq)});
     stamped = entry;
-    pending_.emplace(seq,
-                     PendingPropose{entry, promise, 0, options_.clock->NowMicros()});
+    pending_.emplace(seq, PendingPropose{std::move(entry), std::move(promise), 0,
+                                         options_.clock->NowMicros()});
   }
   // The sub-stack's return value is ignored: this propose is completed from
   // postApply when its sequence number applies in order. Append failures are
@@ -105,7 +105,7 @@ void SessionOrderEngine::ProposeStamped(LogEntry stamped, uint64_t seq) {
     // seq must still commit or every later seq in this session is filtered as
     // a gap, so retry the same stamped entry. If the first append actually
     // committed, the retry applies as seq < expected and is filtered.
-    std::shared_ptr<Promise<std::any>> to_fail;
+    std::optional<Promise<std::any>> to_fail;
     std::optional<LogEntry> to_retry;
     {
       std::lock_guard<std::mutex> lock(pending_mu_);
@@ -117,7 +117,7 @@ void SessionOrderEngine::ProposeStamped(LogEntry stamped, uint64_t seq) {
       if (++it->second.append_retries <= kMaxAppendRetries) {
         to_retry = it->second.stamped_entry;
       } else {
-        to_fail = it->second.promise;
+        to_fail.emplace(std::move(it->second.promise));
         pending_.erase(it);
       }
     }
@@ -155,10 +155,14 @@ std::any SessionOrderEngine::ApplyDataImpl(RWTxn& txn, const LogEntry& entry, Lo
     txn.Put(next_key, EncodeSeq(seq + 1));
     carried.outcome = Outcome::kApplied;
     std::any result = CallUpstream(txn, entry, pos);
-    if (carried.was_ours) {
-      carried.result = result;
+    if (!carried.was_ours) {
+      return result;
     }
-    return result;
+    // Our own proposal: its promise gets the result, and the stamped
+    // propose below us (which only checks for failure) gets just the error
+    // or a unit, so the result is never copied.
+    carried.result = std::move(result);
+    return IsApplyError(carried.result) ? carried.result : std::any(Unit{});
   }
   if (seq < expected) {
     // Duplicate from a re-propose: filtered — exactly-once semantics.
@@ -174,26 +178,23 @@ std::any SessionOrderEngine::ApplyDataImpl(RWTxn& txn, const LogEntry& entry, Lo
 }
 
 void SessionOrderEngine::PostApplyData(const LogEntry& entry, LogPos pos) {
-  const Carried carried = carry_.Take(pos).value_or(Carried{});
+  Carried carried = carry_.Take(pos).value_or(Carried{});
   switch (carried.outcome) {
     case Outcome::kApplied:
       if (carried.was_ours) {
-        // Short-circuit: notify the waiting propose directly.
-        std::shared_ptr<Promise<std::any>> promise;
+        // Short-circuit: complete the waiting propose directly, once the
+        // batch is published (the BaseEngine's completion pass).
+        std::optional<Promise<std::any>> promise;
         {
           std::lock_guard<std::mutex> lock(pending_mu_);
           auto it = pending_.find(carried.seq);
           if (it != pending_.end()) {
-            promise = it->second.promise;
+            promise.emplace(std::move(it->second.promise));
             pending_.erase(it);
           }
         }
-        if (promise != nullptr) {
-          if (IsApplyError(carried.result)) {
-            promise->SetException(std::any_cast<ApplyError>(carried.result).error);
-          } else {
-            promise->SetValue(carried.result);
-          }
+        if (promise.has_value()) {
+          downstream()->CompleteAfterPublish(*std::move(promise), std::move(carried.result));
         }
       }
       break;

@@ -15,7 +15,9 @@
 //    (retries), so the engine does its own RPC bookkeeping: each propose is
 //    completed from postApply directly — the short-circuit visible in the
 //    Figure 11 dashboard, where this engine's propose latency can sit below
-//    the BaseEngine's.
+//    the BaseEngine's. PostApply hands the promise down the stack
+//    (CompleteAfterPublish), and the BaseEngine settles it once the batch
+//    is published, ahead of its own proposers.
 #pragma once
 
 #include <map>
@@ -55,7 +57,7 @@ class SessionOrderEngine : public StackableEngine {
  private:
   struct PendingPropose {
     LogEntry stamped_entry;  // retains the original sequence number
-    std::shared_ptr<Promise<std::any>> promise;
+    Promise<std::any> promise;
     // Sub-stack append failures survived so far (see ProposeStamped).
     int append_retries = 0;
     // Injected-clock time the proposal was stamped (HealthCheck age base).

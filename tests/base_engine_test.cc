@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "src/core/base_engine.h"
+#include "src/sharedlog/chaos_log.h"
 #include "src/sharedlog/inmemory_log.h"
 
 namespace delos {
@@ -74,6 +78,87 @@ class TailCountingLog : public ISharedLog {
   std::shared_ptr<ISharedLog> inner_;
   std::atomic<int> tail_checks_{0};
 };
+
+// Log wrapper whose tail checks complete 1 ms late (on DelayedLog's timer)
+// and that records how many are in flight at once.
+class InFlightTailLog : public ISharedLog {
+ public:
+  explicit InFlightTailLog(std::shared_ptr<ISharedLog> inner)
+      : inner_(std::make_shared<DelayedLog>(std::move(inner), DelayedLog::Delays{0, 1000, 0})) {}
+  Future<LogPos> Append(std::string payload) override { return inner_->Append(std::move(payload)); }
+  Future<LogPos> CheckTail() override {
+    started_.fetch_add(1);
+    const int now = in_flight_.fetch_add(1) + 1;
+    int max = max_in_flight_.load();
+    while (now > max && !max_in_flight_.compare_exchange_weak(max, now)) {
+    }
+    Future<LogPos> future = inner_->CheckTail();
+    // Registered before the caller's continuation, so it runs first.
+    future.Then([this](const Result<LogPos>&) {
+      in_flight_.fetch_sub(1);
+      completed_.fetch_add(1);
+    });
+    return future;
+  }
+  std::vector<LogRecord> ReadRange(LogPos lo, LogPos hi) override {
+    return inner_->ReadRange(lo, hi);
+  }
+  void Trim(LogPos prefix) override { inner_->Trim(prefix); }
+  LogPos trim_prefix() const override { return inner_->trim_prefix(); }
+  void Seal() override { inner_->Seal(); }
+  int started() const { return started_.load(); }
+  int completed() const { return completed_.load(); }
+  int max_in_flight() const { return max_in_flight_.load(); }
+
+ private:
+  std::shared_ptr<ISharedLog> inner_;
+  std::atomic<int> started_{0};
+  std::atomic<int> completed_{0};
+  std::atomic<int> in_flight_{0};
+  std::atomic<int> max_in_flight_{0};
+};
+
+// Applicator whose apply of the payload "block" waits until Release().
+class LatchedApplicator : public IApplicator {
+ public:
+  std::any Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) override {
+    txn.Put("applied/" + std::to_string(pos), entry.payload);
+    if (entry.payload == "block") {
+      entered_.store(true);
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return released_; });
+    }
+    return std::any(pos);
+  }
+  bool entered() const { return entered_.load(); }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::atomic<bool> entered_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool released_ = false;
+};
+
+// Polls `done` for up to two seconds.
+bool WaitUntil(const std::function<bool()>& done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+constexpr std::chrono::seconds kSettleTimeout{2};
 
 LogEntry PayloadEntry(std::string payload) {
   LogEntry entry;
@@ -193,6 +278,60 @@ TEST(BaseEngineTest, SyncsCoalesceBehindOneTailCheck) {
   EXPECT_LT(used, kSyncs / 2);
   EXPECT_GE(used, 1);
   engine.Stop();
+}
+
+// Pipelined syncs: while the first sync's group waits for an apply the app
+// holds up, a second sync gets its own tail check at once. Never more than
+// one tail check is in flight.
+TEST(BaseEngineTest, TailCheckPipelinesPastTheApplyWait) {
+  auto log = std::make_shared<InFlightTailLog>(std::make_shared<InMemoryLog>());
+  LocalStore store;
+  LatchedApplicator app;
+  BaseEngine engine(log, &store, BaseEngineOptions{});
+  engine.RegisterUpcall(&app);
+  engine.Start();
+  Future<std::any> blocked = engine.Propose(PayloadEntry("block"));
+  ASSERT_TRUE(WaitUntil([&] { return app.entered(); }));
+
+  // The first check returns the blocked entry's position; its sync parks.
+  Future<ROTxn> first = engine.Sync();
+  ASSERT_TRUE(WaitUntil([&] { return log->completed() >= 1; }));
+  Future<ROTxn> second = engine.Sync();
+  EXPECT_TRUE(WaitUntil([&] { return log->started() >= 2; }));
+  EXPECT_FALSE(first.IsReady());
+
+  app.Release();
+  auto first_snapshot = first.GetFor(kSettleTimeout);
+  ASSERT_TRUE(first_snapshot.has_value());
+  EXPECT_EQ(first_snapshot->Get("applied/1").value(), "block");
+  EXPECT_TRUE(second.GetFor(kSettleTimeout).has_value());
+  EXPECT_EQ(std::any_cast<LogPos>(blocked.Get()), 1u);
+  EXPECT_EQ(log->max_in_flight(), 1);
+  engine.Stop();
+}
+
+// Stop() fails parked syncs like queued ones, even while the apply thread
+// is still held up by the app.
+TEST(BaseEngineTest, StopFailsParkedSyncs) {
+  auto log = std::make_shared<InFlightTailLog>(std::make_shared<InMemoryLog>());
+  LocalStore store;
+  LatchedApplicator app;
+  BaseEngine engine(log, &store, BaseEngineOptions{});
+  engine.RegisterUpcall(&app);
+  engine.Start();
+  Future<std::any> blocked = engine.Propose(PayloadEntry("block"));
+  ASSERT_TRUE(WaitUntil([&] { return app.entered(); }));
+
+  Future<ROTxn> first = engine.Sync();
+  ASSERT_TRUE(WaitUntil([&] { return log->completed() >= 1; }));
+  Future<ROTxn> second = engine.Sync();
+  EXPECT_TRUE(WaitUntil([&] { return log->completed() >= 2; }));
+
+  std::thread stopper([&] { engine.Stop(); });
+  EXPECT_THROW(first.GetFor(kSettleTimeout), LogUnavailableError);
+  EXPECT_THROW(second.GetFor(kSettleTimeout), LogUnavailableError);
+  app.Release();
+  stopper.join();
 }
 
 TEST(BaseEngineTest, DeterministicExceptionRelayedAndRolledBack) {

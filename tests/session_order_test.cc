@@ -4,9 +4,14 @@
 // manufactures the rare log-reordering events the paper describes (§4.3).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <thread>
 
 #include "src/core/base_engine.h"
+#include "src/engines/batching_engine.h"
 #include "src/engines/session_order_engine.h"
 #include "src/sharedlog/chaos_log.h"
 #include "src/sharedlog/inmemory_log.h"
@@ -32,6 +37,45 @@ class OrderRecordingApplicator : public IApplicator {
   mutable std::mutex mu_;
   std::vector<std::string> order_;
 };
+
+// Applicator that returns the log position it applied the entry at. With
+// a gate, every apply first waits for OpenGate().
+class PositionApplicator : public IApplicator {
+ public:
+  explicit PositionApplicator(bool gated = false) : open_(!gated) {}
+  std::any Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return open_; });
+    }
+    txn.Put("app/log/" + std::to_string(pos), entry.payload);
+    return std::any(pos);
+  }
+  void OpenGate() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_;
+};
+
+// Polls `done` for up to two seconds.
+bool WaitUntil(const std::function<bool()>& done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
 
 LogEntry PayloadEntry(std::string payload) {
   LogEntry entry;
@@ -168,6 +212,90 @@ TEST(SessionOrderTest, DisabledEnginePassesThrough) {
   server.so->DisableViaLog();
   EXPECT_EQ(std::any_cast<std::string>(server.so->Propose(PayloadEntry("raw")).Get()), "raw");
   EXPECT_EQ(server.so->disorder_events(), 0u);
+}
+
+// SessionOrder completes its proposals from postApply, but they settle only
+// after the BaseEngine publishes the batch: a continuation on a propose
+// (here, through the BatchingEngine's fan-out) already sees
+// applied_position() cover the entry.
+TEST(SessionOrderTest, ProposersSeeTheirEntryPublished) {
+  auto log = std::make_shared<InMemoryLog>();
+  LocalStore store;
+  PositionApplicator app;
+  BaseEngine base(log, &store, BaseEngineOptions{});
+  SessionOrderEngine::Options so_options;
+  so_options.server_id = "a";
+  SessionOrderEngine so(so_options, &base, &store);
+  BatchingEngine batching(BatchingEngine::Options{}, &so, &store);
+  batching.RegisterUpcall(&app);
+  base.Start();
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 64;
+  std::atomic<int> settled{0};
+  std::atomic<int> unpublished{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        batching.Propose(PayloadEntry(std::to_string(t) + ":" + std::to_string(i)))
+            .Then([&](const Result<std::any>& result) {
+              if (!result.ok() ||
+                  base.applied_position() < std::any_cast<LogPos>(result.value())) {
+                unpublished.fetch_add(1);
+              }
+              settled.fetch_add(1);
+            });
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  ASSERT_TRUE(WaitUntil([&] { return settled.load() == kThreads * kPerThread; }));
+  EXPECT_EQ(unpublished.load(), 0);
+  base.Stop();
+}
+
+// A propose continuation that holds up the apply thread (it runs in the
+// BaseEngine's completion pass) must not hold up a read: the batch is
+// published before the pass, so the sync's target is already applied.
+TEST(SessionOrderTest, BlockedProposeContinuationDoesNotStallSync) {
+  auto log = std::make_shared<InMemoryLog>();
+  LocalStore store;
+  PositionApplicator app(/*gated=*/true);
+  BaseEngine base(log, &store, BaseEngineOptions{});
+  SessionOrderEngine::Options so_options;
+  so_options.server_id = "a";
+  SessionOrderEngine so(so_options, &base, &store);
+  so.RegisterUpcall(&app);
+  base.Start();
+
+  std::mutex latch_mu;
+  std::condition_variable latch_cv;
+  bool released = false;
+  std::atomic<bool> in_continuation{false};
+  // The gate keeps the apply from running until the continuation is
+  // registered, so the continuation runs on the apply thread.
+  Future<std::any> propose = so.Propose(PayloadEntry("x"));
+  propose.Then([&](const Result<std::any>&) {
+    in_continuation.store(true);
+    std::unique_lock<std::mutex> lock(latch_mu);
+    latch_cv.wait(lock, [&] { return released; });
+  });
+  app.OpenGate();
+  ASSERT_TRUE(WaitUntil([&] { return in_continuation.load(); }));
+
+  auto snapshot = so.Sync().GetFor(std::chrono::seconds(2));
+  {
+    std::lock_guard<std::mutex> lock(latch_mu);
+    released = true;
+  }
+  latch_cv.notify_all();
+  ASSERT_TRUE(snapshot.has_value());
+  const LogPos pos = std::any_cast<LogPos>(propose.Get());
+  EXPECT_EQ(snapshot->Get("app/log/" + std::to_string(pos)).value(), "x");
+  base.Stop();
 }
 
 }  // namespace
