@@ -15,6 +15,12 @@ namespace delos {
 namespace {
 
 constexpr const char* kRootSpanName = "client.propose";
+// Bound on concurrently-open per-trace span buffers (FIFO evicted) and on
+// the spans one buffer keeps.
+constexpr size_t kMaxOpenTraces = 4096;
+constexpr size_t kMaxSpansPerTrace = 128;
+// Flight events kept in one exemplar's excerpt (the newest win).
+constexpr size_t kFlightExcerptEvents = 16;
 
 bool EndsWith(const std::string& s, const char* suffix) {
   const size_t n = std::strlen(suffix);
@@ -96,26 +102,15 @@ uint64_t SlowTraceStore::evicted() const {
 // --- LatencyAttributor ---
 
 LatencyAttributor::LatencyAttributor(Options options)
-    : options_(std::move(options)), slow_(options_.slow_capacity) {
-  if (options_.max_open_traces == 0) {
-    options_.max_open_traces = 1;
-  }
-  if (options_.max_spans_per_trace == 0) {
-    options_.max_spans_per_trace = 1;
-  }
-  e2e_hist_ = options_.stage_bucket_bounds.empty()
-                  ? options_.metrics->GetHistogram("latency.e2e")
-                  : options_.metrics->GetHistogram("latency.e2e", options_.stage_bucket_bounds);
-}
+    : options_(std::move(options)),
+      e2e_hist_(options_.metrics->GetHistogram("latency.e2e")),
+      slow_(options_.slow_capacity) {}
 
 Histogram* LatencyAttributor::StageHistogramLocked(const std::string& stage) {
   auto it = stage_hists_.find(stage);
   if (it == stage_hists_.end()) {
-    const std::string name = "latency.stage." + stage;
-    Histogram* hist = options_.stage_bucket_bounds.empty()
-                          ? options_.metrics->GetHistogram(name)
-                          : options_.metrics->GetHistogram(name, options_.stage_bucket_bounds);
-    it = stage_hists_.emplace(stage, hist).first;
+    it = stage_hists_.emplace(stage, options_.metrics->GetHistogram("latency.stage." + stage))
+             .first;
   }
   // Publish the node for the lock-free cache; the map is insert-only and
   // node-based, so the pointee never moves or dies before the attributor.
@@ -158,7 +153,7 @@ void LatencyAttributor::OnSpan(const TraceSpan& span) {
     if (is_apply) {
       return;
     }
-    while (open_.size() >= options_.max_open_traces) {
+    while (open_.size() >= kMaxOpenTraces) {
       // FIFO-evict the oldest still-open buffer; order entries for traces
       // already completed are skipped lazily.
       if (open_order_.empty()) {
@@ -173,7 +168,7 @@ void LatencyAttributor::OnSpan(const TraceSpan& span) {
     open_order_.push_back(span.trace_id);
   }
   open_count_.store(open_.size(), std::memory_order_relaxed);
-  if (it->second.spans.size() < options_.max_spans_per_trace) {
+  if (it->second.spans.size() < kMaxSpansPerTrace) {
     it->second.spans.push_back(span);
   }
 }
@@ -230,9 +225,8 @@ void LatencyAttributor::CompleteTrace(const TraceSpan& root) {
         window.push_back(event);
       }
     }
-    if (window.size() > options_.flight_excerpt_events) {
-      window.erase(window.begin(),
-                   window.end() - static_cast<ptrdiff_t>(options_.flight_excerpt_events));
+    if (window.size() > kFlightExcerptEvents) {
+      window.erase(window.begin(), window.end() - static_cast<ptrdiff_t>(kFlightExcerptEvents));
     }
     std::ostringstream out;
     for (const FlightRecorder::Event& event : window) {

@@ -120,14 +120,7 @@ class LatencyAttributor {
     double tail_quantile = 99.0;
     uint64_t min_tail_samples = 64;
     size_t slow_capacity = 32;
-    // Bound on concurrently-open per-trace span buffers (FIFO evicted).
-    size_t max_open_traces = 4096;
-    size_t max_spans_per_trace = 128;
-    size_t flight_excerpt_events = 16;
     int64_t flight_excerpt_margin_micros = 1000;
-    // Optional explicit bucket bounds for the latency.stage.* / latency.e2e
-    // histograms (empty = the registry default layout).
-    std::vector<int64_t> stage_bucket_bounds;
   };
 
   explicit LatencyAttributor(Options options);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "src/common/clock.h"
 #include "src/common/json.h"
 #include "src/common/metrics_ts.h"
 
@@ -19,52 +18,7 @@ constexpr int kSubBuckets = 16;
 
 }  // namespace
 
-namespace {
-
-bool ValidBounds(const std::vector<int64_t>& bounds) {
-  if (bounds.empty()) {
-    return false;
-  }
-  for (size_t i = 0; i < bounds.size(); ++i) {
-    if (bounds[i] < 0 || (i > 0 && bounds[i] <= bounds[i - 1])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 Histogram::Histogram() : buckets_(kBuckets) {}
-
-Histogram::Histogram(std::vector<int64_t> bucket_bounds) {
-  if (ValidBounds(bucket_bounds)) {
-    custom_bounds_ = std::move(bucket_bounds);
-    // One bucket per bound plus the implicit overflow bucket.
-    buckets_ = std::vector<std::atomic<uint64_t>>(custom_bounds_.size() + 1);
-  } else {
-    buckets_ = std::vector<std::atomic<uint64_t>>(kBuckets);
-  }
-}
-
-int Histogram::BucketIndex(int64_t value) const {
-  if (custom_bounds_.empty()) {
-    return BucketFor(value);
-  }
-  const auto it = std::lower_bound(custom_bounds_.begin(), custom_bounds_.end(),
-                                   value < 0 ? 0 : value);
-  return static_cast<int>(it - custom_bounds_.begin());  // == size() → overflow bucket
-}
-
-int64_t Histogram::UpperBound(int index) const {
-  if (custom_bounds_.empty()) {
-    return BucketUpperBound(index);
-  }
-  if (index >= static_cast<int>(custom_bounds_.size())) {
-    return custom_bounds_.back();  // overflow saturates at the last bound
-  }
-  return custom_bounds_[index];
-}
 
 int Histogram::BucketFor(int64_t value) {
   if (value < 0) {
@@ -95,7 +49,7 @@ int64_t Histogram::BucketUpperBound(int index) {
 }
 
 void Histogram::Record(int64_t value_micros) {
-  buckets_[BucketIndex(value_micros)].fetch_add(1, std::memory_order_relaxed);
+  buckets_[BucketFor(value_micros)].fetch_add(1, std::memory_order_relaxed);
   total_count_.fetch_add(1, std::memory_order_relaxed);
   total_sum_.fetch_add(value_micros < 0 ? 0 : value_micros, std::memory_order_relaxed);
   int64_t prev = max_seen_.load(std::memory_order_relaxed);
@@ -121,10 +75,10 @@ int64_t Histogram::Percentile(double p) const {
   }
   const auto target = static_cast<uint64_t>(std::ceil(p / 100.0 * static_cast<double>(n)));
   uint64_t seen = 0;
-  for (int i = 0; i < bucket_count(); ++i) {
+  for (int i = 0; i < kBuckets; ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);
     if (seen >= target && seen > 0) {
-      return UpperBound(i);
+      return BucketUpperBound(i);
     }
   }
   return Max();
@@ -141,8 +95,8 @@ void Histogram::Reset() {
 
 Histogram::CumulativeSnapshot Histogram::Snapshot() const {
   CumulativeSnapshot snapshot;
-  snapshot.buckets.resize(buckets_.size());
-  for (int i = 0; i < bucket_count(); ++i) {
+  snapshot.buckets.resize(kBuckets);
+  for (int i = 0; i < kBuckets; ++i) {
     snapshot.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   snapshot.count = total_count_.load(std::memory_order_relaxed);
@@ -150,30 +104,7 @@ Histogram::CumulativeSnapshot Histogram::Snapshot() const {
   return snapshot;
 }
 
-namespace {
-
-// Upper bound of bucket `i` under either layout: explicit bounds when
-// provided (overflow saturates at the last bound), the default log-bucketed
-// layout otherwise.
-int64_t BoundsUpperBound(const std::vector<int64_t>& bounds, int index,
-                         int64_t (*default_bound)(int)) {
-  if (bounds.empty()) {
-    return default_bound(index);
-  }
-  if (index >= static_cast<int>(bounds.size())) {
-    return bounds.back();
-  }
-  return bounds[index];
-}
-
-}  // namespace
-
 int64_t Histogram::PercentileOfBuckets(const std::vector<uint64_t>& buckets, double p) {
-  return PercentileOfBuckets(buckets, p, {});
-}
-
-int64_t Histogram::PercentileOfBuckets(const std::vector<uint64_t>& buckets, double p,
-                                       const std::vector<int64_t>& bounds) {
   uint64_t total = 0;
   for (const uint64_t b : buckets) {
     total += b;
@@ -183,58 +114,24 @@ int64_t Histogram::PercentileOfBuckets(const std::vector<uint64_t>& buckets, dou
   }
   const auto target = static_cast<uint64_t>(std::ceil(p / 100.0 * static_cast<double>(total)));
   uint64_t seen = 0;
-  const size_t cap = bounds.empty() ? static_cast<size_t>(kBuckets) : bounds.size() + 1;
-  const int n = static_cast<int>(std::min(buckets.size(), cap));
+  const int n = static_cast<int>(std::min(buckets.size(), static_cast<size_t>(kBuckets)));
   for (int i = 0; i < n; ++i) {
     seen += buckets[i];
     if (seen >= target && seen > 0) {
-      return BoundsUpperBound(bounds, i, &Histogram::BucketUpperBound);
+      return BucketUpperBound(i);
     }
   }
-  return BoundsUpperBound(bounds, n - 1, &Histogram::BucketUpperBound);
+  return BucketUpperBound(n - 1);
 }
 
 int64_t Histogram::MaxOfBuckets(const std::vector<uint64_t>& buckets) {
-  return MaxOfBuckets(buckets, {});
-}
-
-int64_t Histogram::MaxOfBuckets(const std::vector<uint64_t>& buckets,
-                                const std::vector<int64_t>& bounds) {
-  const size_t cap = bounds.empty() ? static_cast<size_t>(kBuckets) : bounds.size() + 1;
-  const int n = static_cast<int>(std::min(buckets.size(), cap));
+  const int n = static_cast<int>(std::min(buckets.size(), static_cast<size_t>(kBuckets)));
   for (int i = n - 1; i >= 0; --i) {
     if (buckets[i] != 0) {
-      return BoundsUpperBound(bounds, i, &Histogram::BucketUpperBound);
+      return BucketUpperBound(i);
     }
   }
   return 0;
-}
-
-void Histogram::Merge(const Histogram& other) {
-  if (custom_bounds_ == other.custom_bounds_) {
-    for (int i = 0; i < bucket_count(); ++i) {
-      buckets_[i].fetch_add(other.buckets_[i].load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-    }
-  } else {
-    // Layout mismatch: re-bucket the other histogram's samples at each
-    // source bucket's upper bound (approximate, like the percentiles).
-    for (int i = 0; i < other.bucket_count(); ++i) {
-      const uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-      if (n != 0) {
-        buckets_[BucketIndex(other.UpperBound(i))].fetch_add(n, std::memory_order_relaxed);
-      }
-    }
-  }
-  total_count_.fetch_add(other.total_count_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  total_sum_.fetch_add(other.total_sum_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  int64_t other_max = other.Max();
-  int64_t prev = max_seen_.load(std::memory_order_relaxed);
-  while (other_max > prev &&
-         !max_seen_.compare_exchange_weak(prev, other_max, std::memory_order_relaxed)) {
-  }
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
@@ -251,16 +148,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   auto& slot = histograms_[name];
   if (slot == nullptr) {
     slot = std::make_unique<Histogram>();
-  }
-  return slot.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         const std::vector<int64_t>& bucket_bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Histogram>(bucket_bounds);
   }
   return slot.get();
 }
@@ -404,20 +291,12 @@ void MetricsRegistry::SnapshotInto(TimeSeriesStore& store, int64_t now_micros) c
       Histogram::CumulativeSnapshot snapshot = histogram->Snapshot();
       TimeSeriesStore::Cumulative::Hist hist;
       hist.buckets = std::move(snapshot.buckets);
-      hist.bounds = histogram->bucket_bounds();
       hist.count = snapshot.count;
       hist.sum = snapshot.sum;
       histograms[name] = std::move(hist);
     }
   }
   store.Commit(now_micros, std::move(counters), std::move(gauges), std::move(histograms));
-}
-
-ScopedLatencyTimer::ScopedLatencyTimer(Histogram* histogram)
-    : histogram_(histogram), start_micros_(RealClock::Instance()->NowMicros()) {}
-
-ScopedLatencyTimer::~ScopedLatencyTimer() {
-  histogram_->Record(RealClock::Instance()->NowMicros() - start_micros_);
 }
 
 }  // namespace delos

@@ -2,8 +2,8 @@
 //
 // The ObserverEngine (§4.1) measures per-layer propose/sync latency into
 // named histograms; the Figure 8/10/11 benches query percentiles from them.
-// Histograms are log-bucketed (≈7% relative error), lock-free on the record
-// path, and mergeable so fleet-style benches can aggregate across clusters.
+// Every metric is per-server. Histograms share one log-bucketed layout
+// (≈7% relative error) and are lock-free on the record path.
 #pragma once
 
 #include <atomic>
@@ -35,35 +35,23 @@ class Counter {
 
 // A live signed value (queue depth, cursor lag, open sessions, held leases)
 // — unlike a Counter it moves both ways. Set for sampled values, Add for
-// up/down tracking; Merge sums, so fleet aggregation of per-server gauges
-// reports the fleet-wide total.
+// up/down tracking.
 class Gauge {
  public:
   void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
   void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
-  void Merge(const Gauge& other) { Add(other.value()); }
 
  private:
   std::atomic<int64_t> value_{0};
 };
 
-// Log-bucketed histogram for microsecond latencies (covers 1 µs .. ~17 min).
-//
-// By default the bucket layout is the fixed linear+log scheme below; a
-// histogram can instead be registered with explicit bucket upper bounds
-// (sorted, strictly increasing) when a stage needs finer multi-ms
-// resolution than the ~6%-error default provides. Values above the last
-// explicit bound land in an implicit overflow bucket whose reported upper
-// bound saturates at the last explicit bound (Max() keeps the exact value).
+// Log-bucketed histogram for microsecond latencies (covers 1 µs .. ~36 min
+// in the fixed linear+log layout below; Max() keeps the exact value).
 class Histogram {
  public:
   Histogram();
-  // Custom layout: bucket i covers (bounds[i-1], bounds[i]]; one implicit
-  // overflow bucket is appended. Bounds must be sorted and strictly
-  // increasing; invalid bounds fall back to the default layout.
-  explicit Histogram(std::vector<int64_t> bucket_bounds);
 
   void Record(int64_t value_micros);
 
@@ -74,8 +62,6 @@ class Histogram {
   int64_t Max() const { return max_seen_.load(std::memory_order_relaxed); }
 
   void Reset();
-  // Adds other's samples into this histogram.
-  void Merge(const Histogram& other);
 
   // Cumulative reading for windowed time-series snapshots (metrics_ts):
   // the full bucket vector plus count/sum, so per-window percentiles can be
@@ -87,22 +73,11 @@ class Histogram {
   };
   CumulativeSnapshot Snapshot() const;
 
-  // Explicit bucket bounds, empty for the default layout. Windowed
-  // time-series snapshots carry this alongside the bucket vector so
-  // per-window percentiles use the right layout.
-  const std::vector<int64_t>& bucket_bounds() const { return custom_bounds_; }
-
   // Approximate percentile over a raw bucket-count vector (e.g. the delta
-  // between two CumulativeSnapshots). Returns 0 for an empty vector. The
-  // two-argument forms assume the default layout; pass the histogram's
-  // bucket_bounds() for custom layouts (empty = default).
+  // between two CumulativeSnapshots). Returns 0 for an empty vector.
   static int64_t PercentileOfBuckets(const std::vector<uint64_t>& buckets, double p);
-  static int64_t PercentileOfBuckets(const std::vector<uint64_t>& buckets, double p,
-                                     const std::vector<int64_t>& bounds);
   // Upper bound of the highest non-empty bucket (a window's max estimate).
   static int64_t MaxOfBuckets(const std::vector<uint64_t>& buckets);
-  static int64_t MaxOfBuckets(const std::vector<uint64_t>& buckets,
-                              const std::vector<int64_t>& bounds);
 
  private:
   // 32 linear buckets + 16 sub-buckets per power of two up to 2^31 µs
@@ -111,11 +86,6 @@ class Histogram {
   static int BucketFor(int64_t value);
   static int64_t BucketUpperBound(int index);
 
-  int BucketIndex(int64_t value) const;
-  int64_t UpperBound(int index) const;
-  int bucket_count() const { return static_cast<int>(buckets_.size()); }
-
-  std::vector<int64_t> custom_bounds_;  // empty = default layout
   std::vector<std::atomic<uint64_t>> buckets_;
   std::atomic<uint64_t> total_count_{0};
   std::atomic<int64_t> total_sum_{0};
@@ -128,10 +98,6 @@ class MetricsRegistry {
  public:
   Counter* GetCounter(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
-  // Registers `name` with explicit bucket bounds (see Histogram). If the
-  // histogram already exists, the existing instance wins and the bounds are
-  // ignored — first registration fixes the layout.
-  Histogram* GetHistogram(const std::string& name, const std::vector<int64_t>& bucket_bounds);
   Gauge* GetGauge(const std::string& name);
 
   // Snapshot of all metric names currently registered.
@@ -165,20 +131,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-};
-
-// RAII latency timer recording into a histogram on destruction.
-class ScopedLatencyTimer {
- public:
-  explicit ScopedLatencyTimer(Histogram* histogram);
-  ~ScopedLatencyTimer();
-
-  ScopedLatencyTimer(const ScopedLatencyTimer&) = delete;
-  ScopedLatencyTimer& operator=(const ScopedLatencyTimer&) = delete;
-
- private:
-  Histogram* histogram_;
-  int64_t start_micros_;
 };
 
 }  // namespace delos

@@ -71,10 +71,10 @@ void TimeSeriesStore::Commit(int64_t now_micros, std::map<std::string, uint64_t>
       delta.count = hist.count;
       delta.sum = hist.sum;
     }
-    delta.p50 = Histogram::PercentileOfBuckets(bucket_delta, 50, hist.bounds);
-    delta.p99 = Histogram::PercentileOfBuckets(bucket_delta, 99, hist.bounds);
-    delta.p999 = Histogram::PercentileOfBuckets(bucket_delta, 99.9, hist.bounds);
-    delta.max = Histogram::MaxOfBuckets(bucket_delta, hist.bounds);
+    delta.p50 = Histogram::PercentileOfBuckets(bucket_delta, 50);
+    delta.p99 = Histogram::PercentileOfBuckets(bucket_delta, 99);
+    delta.p999 = Histogram::PercentileOfBuckets(bucket_delta, 99.9);
+    delta.max = Histogram::MaxOfBuckets(bucket_delta);
     window.histograms[name] = delta;
   }
 

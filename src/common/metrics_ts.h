@@ -88,7 +88,6 @@ class TimeSeriesStore {
     std::map<std::string, uint64_t> counters;
     struct Hist {
       std::vector<uint64_t> buckets;
-      std::vector<int64_t> bounds;  // explicit bucket bounds, empty = default
       uint64_t count = 0;
       int64_t sum = 0;
     };

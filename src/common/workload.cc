@@ -6,10 +6,8 @@
 #include <cstring>
 #include <algorithm>
 
-#include "src/common/errors.h"
 #include "src/common/json.h"
 #include "src/common/metrics.h"
-#include "src/common/serde.h"
 #include "src/common/trace.h"
 
 namespace delos {
@@ -123,18 +121,20 @@ void SpaceSaving::RebuildIndex() {
   }
 }
 
-void SpaceSaving::Add(std::string_view key, uint64_t weight) {
-  AddHashed(WorkloadHash(key, seed_), key, weight);
+void SpaceSaving::Add(std::string_view key, uint64_t weight, uint64_t bytes) {
+  AddHashed(WorkloadHash(key, seed_), key, weight, bytes);
 }
 
-void SpaceSaving::AddHashed(uint64_t hash, std::string_view key, uint64_t weight) {
+void SpaceSaving::AddHashed(uint64_t hash, std::string_view key, uint64_t weight,
+                            uint64_t bytes) {
   total_weight_ += weight;
   if (Slot* slot = Find(hash); slot != nullptr) {
     slot->count += weight;
+    slot->bytes += bytes;
     return;
   }
   if (slots_.size() < capacity_) {
-    slots_.push_back(Slot{hash, std::string(key), weight, 0});
+    slots_.push_back(Slot{hash, std::string(key), weight, 0, bytes});
     IndexInsert(hash, static_cast<uint32_t>(slots_.size() - 1));
     key_bytes_ += key.size();
     return;
@@ -151,25 +151,15 @@ void SpaceSaving::AddHashed(uint64_t hash, std::string_view key, uint64_t weight
   const uint64_t floor = victim->count;
   key_bytes_ -= victim->key.size();
   key_bytes_ += key.size();
-  *victim = Slot{hash, std::string(key), floor + weight, floor};
+  *victim = Slot{hash, std::string(key), floor + weight, floor, bytes};
   RebuildIndex();
-}
-
-std::vector<const SpaceSaving::Slot*> SpaceSaving::SortedSlots() const {
-  std::vector<const Slot*> out;
-  out.reserve(slots_.size());
-  for (const Slot& slot : slots_) {
-    out.push_back(&slot);
-  }
-  std::sort(out.begin(), out.end(), [](const Slot* a, const Slot* b) { return a->key < b->key; });
-  return out;
 }
 
 std::vector<SpaceSaving::HeavyHitter> SpaceSaving::TopK() const {
   std::vector<HeavyHitter> out;
   out.reserve(slots_.size());
   for (const Slot& slot : slots_) {
-    out.push_back(HeavyHitter{slot.key, slot.count, slot.error});
+    out.push_back(HeavyHitter{slot.key, slot.count, slot.error, slot.bytes});
   }
   std::sort(out.begin(), out.end(), [](const HeavyHitter& a, const HeavyHitter& b) {
     if (a.count != b.count) {
@@ -191,7 +181,7 @@ std::optional<SpaceSaving::HeavyHitter> SpaceSaving::Peak() const {
   if (best == nullptr) {
     return std::nullopt;
   }
-  return HeavyHitter{best->key, best->count, best->error};
+  return HeavyHitter{best->key, best->count, best->error, best->bytes};
 }
 
 uint64_t SpaceSaving::EstimateOf(std::string_view key) const {
@@ -203,142 +193,11 @@ size_t SpaceSaving::MemoryBytes() const {
   return key_bytes_ + slots_.size() * sizeof(Slot) + index_.size() * sizeof(uint32_t);
 }
 
-void SpaceSaving::Merge(const SpaceSaving& other) {
-  if (other.seed_ != seed_) {
-    throw DelosError("space-saving merge seed mismatch");
-  }
-  for (const Slot* slot : other.SortedSlots()) {
-    if (Slot* mine = Find(slot->hash); mine != nullptr) {
-      mine->count += slot->count;
-      mine->error += slot->error;
-      total_weight_ += slot->count;
-      continue;
-    }
-    // Reuse the eviction path for the count, then fold in the incoming
-    // error so the overestimate bound survives the merge.
-    AddHashed(slot->hash, slot->key, slot->count);
-    if (Slot* inserted = Find(slot->hash); inserted != nullptr) {
-      inserted->error += slot->error;
-    }
-  }
-}
-
-std::string SpaceSaving::Serialize() const {
-  Serializer ser;
-  ser.WriteVarint(capacity_);
-  ser.WriteFixed64(seed_);
-  ser.WriteVarint(total_weight_);
-  ser.WriteVarint(slots_.size());
-  for (const Slot* slot : SortedSlots()) {
-    ser.WriteString(slot->key);
-    ser.WriteVarint(slot->count);
-    ser.WriteVarint(slot->error);
-  }
-  return ser.Release();
-}
-
-SpaceSaving SpaceSaving::Parse(std::string_view blob) {
-  Deserializer de(blob);
-  const uint64_t capacity = de.ReadVarint();
-  SpaceSaving out(capacity, de.ReadFixed64());
-  const uint64_t total = de.ReadVarint();
-  const uint64_t count = de.ReadVarint();
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string key = de.ReadString();
-    const uint64_t c = de.ReadVarint();
-    const uint64_t e = de.ReadVarint();
-    out.Add(key, c);
-    if (Slot* slot = out.Find(WorkloadHash(key, out.seed_)); slot != nullptr) {
-      slot->error += e;
-    }
-  }
-  out.total_weight_ = total;
-  return out;
-}
-
 void SpaceSaving::Clear() {
   slots_.clear();
   std::fill(index_.begin(), index_.end(), 0);
   total_weight_ = 0;
   key_bytes_ = 0;
-}
-
-// ---------------------------------------------------------------------------
-// CountMinSketch
-
-CountMinSketch::CountMinSketch(size_t depth, size_t width, uint64_t seed)
-    : depth_(std::max<size_t>(depth, 1)),
-      width_(std::max<size_t>(width, 16)),
-      seed_(seed),
-      cells_(depth_ * width_, 0) {}
-
-size_t CountMinSketch::CellIndex(size_t row, uint64_t hash) const {
-  return row * width_ + static_cast<size_t>(MixHash(hash, row + 1) % width_);
-}
-
-void CountMinSketch::Add(std::string_view key, uint64_t weight) {
-  AddHashed(WorkloadHash(key, seed_), weight);
-}
-
-void CountMinSketch::AddHashed(uint64_t hash, uint64_t weight) {
-  total_weight_ += weight;
-  for (size_t row = 0; row < depth_; ++row) {
-    cells_[CellIndex(row, hash)] += weight;
-  }
-}
-
-uint64_t CountMinSketch::Estimate(std::string_view key) const {
-  return EstimateHashed(WorkloadHash(key, seed_));
-}
-
-uint64_t CountMinSketch::EstimateHashed(uint64_t hash) const {
-  uint64_t best = UINT64_MAX;
-  for (size_t row = 0; row < depth_; ++row) {
-    best = std::min(best, cells_[CellIndex(row, hash)]);
-  }
-  return best == UINT64_MAX ? 0 : best;
-}
-
-void CountMinSketch::Merge(const CountMinSketch& other) {
-  if (other.depth_ != depth_ || other.width_ != width_ || other.seed_ != seed_) {
-    throw DelosError("count-min merge shape/seed mismatch");
-  }
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    cells_[i] += other.cells_[i];
-  }
-  total_weight_ += other.total_weight_;
-}
-
-std::string CountMinSketch::Serialize() const {
-  Serializer ser;
-  ser.WriteVarint(depth_);
-  ser.WriteVarint(width_);
-  ser.WriteFixed64(seed_);
-  ser.WriteVarint(total_weight_);
-  for (const uint64_t cell : cells_) {
-    ser.WriteVarint(cell);
-  }
-  return ser.Release();
-}
-
-CountMinSketch CountMinSketch::Parse(std::string_view blob) {
-  Deserializer de(blob);
-  const uint64_t depth = de.ReadVarint();
-  const uint64_t width = de.ReadVarint();
-  if (depth == 0 || depth > 16 || width == 0 || width > (1u << 24)) {
-    throw SerdeError("count-min shape out of range");
-  }
-  CountMinSketch out(depth, width, de.ReadFixed64());
-  out.total_weight_ = de.ReadVarint();
-  for (size_t i = 0; i < out.cells_.size(); ++i) {
-    out.cells_[i] = de.ReadVarint();
-  }
-  return out;
-}
-
-void CountMinSketch::Clear() {
-  std::fill(cells_.begin(), cells_.end(), 0);
-  total_weight_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -389,41 +248,6 @@ uint64_t HyperLogLog::Estimate() const {
   return static_cast<uint64_t>(std::llround(estimate));
 }
 
-void HyperLogLog::Merge(const HyperLogLog& other) {
-  if (other.precision_ != precision_ || other.seed_ != seed_) {
-    throw DelosError("hyperloglog merge precision/seed mismatch");
-  }
-  for (size_t i = 0; i < registers_.size(); ++i) {
-    registers_[i] = std::max(registers_[i], other.registers_[i]);
-  }
-}
-
-std::string HyperLogLog::Serialize() const {
-  Serializer ser;
-  ser.WriteVarint(static_cast<uint64_t>(precision_));
-  ser.WriteFixed64(seed_);
-  ser.WriteString(std::string_view(reinterpret_cast<const char*>(registers_.data()),
-                                   registers_.size()));
-  return ser.Release();
-}
-
-HyperLogLog HyperLogLog::Parse(std::string_view blob) {
-  Deserializer de(blob);
-  const uint64_t precision = de.ReadVarint();
-  if (precision < 4 || precision > 16) {
-    throw SerdeError("hyperloglog precision out of range");
-  }
-  HyperLogLog out(static_cast<int>(precision), de.ReadFixed64());
-  const std::string_view regs = de.ReadStringView();
-  if (regs.size() != out.registers_.size()) {
-    throw SerdeError("hyperloglog register count mismatch");
-  }
-  for (size_t i = 0; i < regs.size(); ++i) {
-    out.registers_[i] = static_cast<uint8_t>(regs[i]);
-  }
-  return out;
-}
-
 void HyperLogLog::Clear() {
   std::fill(registers_.begin(), registers_.end(), 0);
 }
@@ -432,42 +256,6 @@ void HyperLogLog::Clear() {
 // WorkloadAttributor
 
 namespace {
-
-// Worst-case footprint for the budget clamp: every top-K slot holding a
-// maximum-length key, both Count-Min grids, and the four HLL register sets.
-// The per-entry constant covers the slot bookkeeping (hash/count/error +
-// string header) plus the 4x open-addressed index ordinals.
-size_t WorstCaseSketchBytes(const WorkloadAttributor::Options& o) {
-  const size_t slot_overhead = sizeof(uint64_t) * 3 + 32 + 4 * sizeof(uint32_t);
-  const size_t topk_entry = WorkloadAttributor::kMaxTrackedKeyBytes + slot_overhead;
-  const size_t client_entry = 20 + slot_overhead;
-  return o.topk_keys * topk_entry + o.topk_clients * client_entry +
-         2 * o.cm_depth * o.cm_width * sizeof(uint64_t) + 4 * (size_t{1} << o.hll_precision);
-}
-
-WorkloadAttributor::Options ClampToBudget(WorkloadAttributor::Options o) {
-  o.topk_keys = std::max<size_t>(o.topk_keys, 1);
-  o.topk_clients = std::max<size_t>(o.topk_clients, 1);
-  o.cm_depth = std::min(std::max<size_t>(o.cm_depth, 1), size_t{16});
-  o.cm_width = std::max<size_t>(o.cm_width, 16);
-  o.hll_precision = std::min(std::max(o.hll_precision, 4), 16);
-  // Shrink, cheapest-to-lose first, until the worst case fits the budget
-  // (or the floor configuration is reached): halve the Count-Min width,
-  // then drop HLL precision, then halve the top-K capacities.
-  while (WorstCaseSketchBytes(o) > o.sketch_byte_budget) {
-    if (o.cm_width > 64) {
-      o.cm_width /= 2;
-    } else if (o.hll_precision > 4) {
-      o.hll_precision -= 1;
-    } else if (o.topk_keys > 8 || o.topk_clients > 8) {
-      o.topk_keys = std::max<size_t>(o.topk_keys / 2, 8);
-      o.topk_clients = std::max<size_t>(o.topk_clients / 2, 8);
-    } else {
-      break;
-    }
-  }
-  return o;
-}
 
 std::string_view TruncateKey(std::string_view key) {
   if (key.empty()) {
@@ -481,20 +269,16 @@ std::string_view TruncateKey(std::string_view key) {
 // Every key-facing sketch shares the family seed and every client-facing
 // sketch shares its salted variant, so the apply tap hashes the key bytes
 // exactly once (and each client id once, cached) and fans the hash out.
-// Count-Min row independence comes from MixHash inside the sketch, not from
-// per-sketch seeds.
-constexpr uint64_t kClientSeedSalt = 0xc11e17;
+constexpr uint64_t kClientSeed = WorkloadAttributor::kHashSeed ^ 0xc11e17;
 
 WorkloadAttributor::WorkloadAttributor(Options options)
-    : options_(ClampToBudget(std::move(options))),
-      top_keys_(options_.topk_keys, options_.hash_seed),
-      top_clients_(options_.topk_clients, options_.hash_seed ^ kClientSeedSalt),
-      key_ops_(options_.cm_depth, options_.cm_width, options_.hash_seed),
-      key_bytes_(options_.cm_depth, options_.cm_width, options_.hash_seed),
-      keys_seen_(options_.hll_precision, options_.hash_seed),
-      clients_seen_(options_.hll_precision, options_.hash_seed ^ kClientSeedSalt),
-      window_keys_(options_.hll_precision, options_.hash_seed),
-      window_clients_(options_.hll_precision, options_.hash_seed ^ kClientSeedSalt) {
+    : options_(std::move(options)),
+      top_keys_(kTopK, kHashSeed),
+      top_clients_(kTopK, kClientSeed),
+      keys_seen_(kHllPrecision, kHashSeed),
+      clients_seen_(kHllPrecision, kClientSeed),
+      window_keys_(kHllPrecision, kHashSeed),
+      window_clients_(kHllPrecision, kClientSeed) {
   // Round the sampling interval down to a power of two so the hot path's
   // sample check is a mask, not a division.
   size_t every = std::max<size_t>(options_.rate_sample_every, 1);
@@ -562,14 +346,12 @@ void WorkloadAttributor::ChargeApplySampled(std::string_view key,
   const std::string_view k = TruncateKey(key);
   // One pass over the key bytes; every sketch gets the same hash (they all
   // share the family seed — see the constructor).
-  const uint64_t khash = WorkloadHash(k, options_.hash_seed);
+  const uint64_t khash = WorkloadHash(k, kHashSeed);
   const uint64_t weight = options_.rate_sample_every;
-  top_keys_.AddHashed(khash, k, weight);
-  key_ops_.AddHashed(khash, weight);
-  key_bytes_.AddHashed(khash, bytes * weight);
+  top_keys_.AddHashed(khash, k, weight, bytes * weight);
   keys_seen_.AddHashed(khash);
   window_keys_.AddHashed(khash);
-  ChargeClientsLocked(client_ids, bytes);
+  ChargeClientsLocked(client_ids);
   sampled_ops_ += 1;
   // Hot-spot detection, the footprint gauge refresh, and the metric-counter
   // flush are throttled to every 16th sampled op (every 64th applied op at
@@ -601,8 +383,7 @@ void WorkloadAttributor::FlushCountersLocked() {
   counter_flushed_bytes_ = bytes;
 }
 
-void WorkloadAttributor::ChargeClientsLocked(std::span<const uint64_t> client_ids, size_t bytes) {
-  (void)bytes;
+void WorkloadAttributor::ChargeClientsLocked(std::span<const uint64_t> client_ids) {
   for (const uint64_t id : client_ids) {
     const CachedClient& client = ClientSlotLocked(id);
     top_clients_.AddHashed(client.hash, client.name, options_.rate_sample_every);
@@ -635,7 +416,7 @@ const WorkloadAttributor::CachedClient& WorkloadAttributor::ClientSlotLocked(uin
   slot.used = true;
   slot.id = id;
   slot.name = std::to_string(id);
-  slot.hash = WorkloadHash(slot.name, options_.hash_seed ^ kClientSeedSalt);
+  slot.hash = WorkloadHash(slot.name, kClientSeed);
   client_cache_used_ += 1;
   return slot;
 }
@@ -666,7 +447,7 @@ std::optional<WorkloadAttributor::HotSpot> WorkloadAttributor::HottestOfLocked(
     return std::nullopt;
   }
   const double share = 100.0 * static_cast<double>(head->count) / static_cast<double>(total);
-  if (share <= options_.hot_share_threshold_pct) {
+  if (share <= kHotSharePct) {
     return std::nullopt;
   }
   return HotSpot{head->key, head->count, share};
@@ -719,9 +500,8 @@ std::optional<WorkloadAttributor::HotSpot> WorkloadAttributor::HottestClient() c
 
 size_t WorkloadAttributor::SketchBytesLocked() const {
   size_t bytes = top_keys_.MemoryBytes() + top_clients_.MemoryBytes() +
-                 key_ops_.MemoryBytes() + key_bytes_.MemoryBytes() + keys_seen_.MemoryBytes() +
-                 clients_seen_.MemoryBytes() + window_keys_.MemoryBytes() +
-                 window_clients_.MemoryBytes();
+                 keys_seen_.MemoryBytes() + clients_seen_.MemoryBytes() +
+                 window_keys_.MemoryBytes() + window_clients_.MemoryBytes();
   for (const auto& [name, usage] : layers_) {
     bytes += name.size() + sizeof(LayerUsage);
   }
@@ -756,11 +536,8 @@ std::string WorkloadAttributor::RenderWorkload() const {
           static_cast<unsigned long long>(clients_seen_.Estimate()),
           static_cast<unsigned long long>(window_clients_.Estimate()));
   AppendF(&out, "windows closed: %llu\n", static_cast<unsigned long long>(windows_closed_));
-  AppendF(&out, "sketch bytes: %llu / budget %llu\n",
-          static_cast<unsigned long long>(SketchBytesLocked()),
-          static_cast<unsigned long long>(options_.sketch_byte_budget));
-  AppendF(&out, "hot threshold: >%.1f%% share after %llu ops\n",
-          options_.hot_share_threshold_pct,
+  AppendF(&out, "sketch bytes: %llu\n", static_cast<unsigned long long>(SketchBytesLocked()));
+  AppendF(&out, "hot threshold: >%.1f%% share after %llu ops\n", kHotSharePct,
           static_cast<unsigned long long>(options_.hot_min_ops));
   auto hot_line = [&](const char* what, const std::optional<HotSpot>& spot) {
     if (spot.has_value()) {
@@ -794,8 +571,7 @@ std::string WorkloadAttributor::RenderWorkloadJson() const {
       .Key("window_distinct_keys").Int(window_keys_.Estimate())
       .Key("window_distinct_clients").Int(window_clients_.Estimate())
       .Key("windows_closed").Int(windows_closed_)
-      .Key("sketch_bytes").Int(SketchBytesLocked())
-      .Key("sketch_byte_budget").Int(options_.sketch_byte_budget);
+      .Key("sketch_bytes").Int(SketchBytesLocked());
   auto hot_spot = [&](const char* what, const std::optional<HotSpot>& spot) {
     json.Key(std::string("hot_") + what);
     if (spot.has_value()) {
@@ -831,7 +607,7 @@ std::string WorkloadAttributor::RenderTopKeys() const {
     AppendF(&out, "%4zu %10llu %9llu %12llu %6.1f%%  %s\n", i + 1,
             static_cast<unsigned long long>(top[i].count),
             static_cast<unsigned long long>(top[i].error),
-            static_cast<unsigned long long>(key_bytes_.Estimate(top[i].key)),
+            static_cast<unsigned long long>(top[i].bytes),
             ShareOf(top[i].count, total), top[i].key.c_str());
   }
   return out;
@@ -850,7 +626,7 @@ std::string WorkloadAttributor::RenderTopKeysJson() const {
         .Key("key").String(hit.key)
         .Key("ops").Int(hit.count)
         .Key("err").Int(hit.error)
-        .Key("bytes").Int(key_bytes_.Estimate(hit.key))
+        .Key("bytes").Int(hit.bytes)
         .Key("share_pct").Fixed(ShareOf(hit.count, total), 1)
         .EndObject();
   }

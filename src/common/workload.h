@@ -6,18 +6,15 @@
 // spending it" — one misbehaving client or one hot key can starve the apply
 // loop for every application multiplexed onto the log, and the ROADMAP's
 // next steps (sharding, admission control, quotas) are blind without
-// per-tenant accounting. The WorkloadAttributor keeps three classic
-// streaming sketches, all O(1)-ish per update and hard-bounded in memory:
+// per-tenant accounting. The WorkloadAttributor keeps two classic streaming
+// sketches per server, both O(1)-ish per update and fixed in size:
 //
 //  * SpaceSaving — top-K heavy hitters (hot keys, top clients). Exact while
 //    distinct keys <= K; past saturation the minimum-count entry is evicted
 //    and the newcomer inherits its count as `error`, so every reported count
 //    is an overestimate by at most `error` and true heavy hitters are never
-//    dropped (the Metwally et al. guarantee).
-//
-//  * CountMinSketch — per-key op and byte rates. A depth x width grid of
-//    counters; Estimate returns the minimum over the key's d cells, an
-//    overestimate by at most eps * total with probability 1 - delta.
+//    dropped (the Metwally et al. guarantee). Each slot also carries the
+//    bytes charged to its key since the key entered the table.
 //
 //  * HyperLogLog — distinct clients / distinct keys per window, within a
 //    few percent at 2^p registers.
@@ -36,12 +33,11 @@
 //    keys on every replica (the extractor is a pure function of the
 //    payload bytes).
 //
-// Determinism: updates use a seeded hash family (the seed is an Option —
-// sims pin it), window rollover happens only at explicit CloseWindow calls
-// with caller-supplied timestamps, and every render iterates in sorted
-// (count desc, key asc) order — so under the simulator the rendered
-// workload summary is a pure function of the schedule, byte-identical
-// across replays.
+// Determinism: updates use a fixed-seed hash family (kHashSeed), window
+// rollover happens only at explicit CloseWindow calls with caller-supplied
+// timestamps, and every render iterates in sorted (count desc, key asc)
+// order — so under the simulator the rendered workload summary is a pure
+// function of the schedule, byte-identical across replays.
 //
 // This header lives in src/common and knows nothing about LogEntry; the
 // client-id <-> header-map plumbing is in src/core/entry.h and both taps in
@@ -69,16 +65,12 @@ class Gauge;
 // finalizer — one multiply per word, since this runs once per applied
 // record). The same
 // (data, seed) pair hashes identically on every replica and every replay;
-// different seeds give effectively independent hash functions, which is all
-// Count-Min's independence argument needs in practice.
+// different seeds give effectively independent hash functions.
 uint64_t WorkloadHash(std::string_view data, uint64_t seed);
 
-// Derives a secondary hash from an already-computed WorkloadHash (splitmix64
-// over value + salt * golden-ratio). The apply tap hashes each key's bytes
-// exactly once and every downstream consumer — Count-Min rows, HLL
-// registers — re-mixes that one hash instead of re-walking the bytes; the
-// same derivation is used for integer client ids so the hot path never
-// renders them to decimal.
+// Integer hash (splitmix64 over value + salt * golden-ratio). It places
+// client ids in the attributor's client cache and picks the sampled applied
+// ops, so neither hot-path decision renders or re-walks any bytes.
 inline uint64_t MixHash(uint64_t value, uint64_t salt) {
   uint64_t h = value + salt * 0x9E3779B97F4A7C15ULL;
   h ^= h >> 30;
@@ -98,27 +90,33 @@ inline uint64_t MixHash(uint64_t value, uint64_t salt) {
 // error = min_count. Reported counts therefore never underestimate, and any
 // key whose true count exceeds total/capacity is guaranteed present.
 //
+// Each entry also sums the bytes charged to its key since the key entered
+// the table: exact while the table has never evicted, and counted from
+// admission for a key that replaced an evicted one (a byte count carries no
+// error term).
+//
 // Entries are indexed by the key's 64-bit WorkloadHash (a collision folds
 // two keys into one slot — at <= capacity tracked keys against a 64-bit
 // space the probability is negligible, and the failure mode is a slightly
 // inflated count, never a crash). The hashed-index makes the hot-path find
 // an integer probe, and lets the attributor pass a precomputed hash via
-// AddHashed. All rendered/serialized orders are sorted, so iteration order
-// of the underlying table never leaks into output.
+// AddHashed. Renders sort, so iteration order of the underlying table never
+// leaks into output.
 class SpaceSaving {
  public:
   struct HeavyHitter {
     std::string key;
     uint64_t count = 0;  // overestimate: true count is in [count-error, count]
     uint64_t error = 0;
+    uint64_t bytes = 0;  // charged since the key entered the table
   };
 
   explicit SpaceSaving(size_t capacity, uint64_t seed = 0);
 
-  void Add(std::string_view key, uint64_t weight = 1);
-  // Hot-path variant: `hash` must be WorkloadHash(key, seed()) — the
+  void Add(std::string_view key, uint64_t weight = 1, uint64_t bytes = 0);
+  // Hot-path variant: `hash` must be WorkloadHash(key, seed) — the
   // attributor computes it once per op and fans it out to every sketch.
-  void AddHashed(uint64_t hash, std::string_view key, uint64_t weight = 1);
+  void AddHashed(uint64_t hash, std::string_view key, uint64_t weight = 1, uint64_t bytes = 0);
 
   // Entries sorted by (count desc, key asc) — a deterministic render order.
   std::vector<HeavyHitter> TopK() const;
@@ -131,20 +129,8 @@ class SpaceSaving {
 
   uint64_t total_weight() const { return total_weight_; }
   size_t size() const { return slots_.size(); }
-  size_t capacity() const { return capacity_; }
-  uint64_t seed() const { return seed_; }
   // Live footprint: tracked key bytes plus per-entry bookkeeping.
   size_t MemoryBytes() const;
-
-  // Folds other's entries in (Add per entry with its count, in sorted key
-  // order so saturation-time evictions are deterministic; errors are summed
-  // into the surviving entry's error so the overestimate bound still holds
-  // after a merge). Throws DelosError when seeds differ.
-  void Merge(const SpaceSaving& other);
-
-  std::string Serialize() const;
-  // Throws SerdeError on malformed input.
-  static SpaceSaving Parse(std::string_view blob);
 
   void Clear();
 
@@ -154,11 +140,8 @@ class SpaceSaving {
     std::string key;
     uint64_t count = 0;
     uint64_t error = 0;
+    uint64_t bytes = 0;
   };
-
-  // Sorted (key asc) snapshot of the slots — every deterministic cold path
-  // (TopK, Serialize, Merge) starts from this.
-  std::vector<const Slot*> SortedSlots() const;
 
   // Open-addressed index over slots_: the hot-path find is a masked probe
   // into a power-of-two table (no division, no node chase — measurably
@@ -179,44 +162,6 @@ class SpaceSaving {
   uint64_t index_mask_ = 0;
 };
 
-// Count-Min sketch (Cormode, Muthukrishnan 2005): depth rows of width
-// counters; the key is hashed once (WorkloadHash with the family seed) and
-// each row's cell index is an independent MixHash derivation of that one
-// hash. Estimate = min over the key's cells (an overestimate).
-class CountMinSketch {
- public:
-  CountMinSketch(size_t depth, size_t width, uint64_t seed);
-
-  void Add(std::string_view key, uint64_t weight = 1);
-  uint64_t Estimate(std::string_view key) const;
-  // Hot-path variants: `hash` must be WorkloadHash(key, seed()).
-  void AddHashed(uint64_t hash, uint64_t weight = 1);
-  uint64_t EstimateHashed(uint64_t hash) const;
-  uint64_t seed() const { return seed_; }
-
-  uint64_t total_weight() const { return total_weight_; }
-  size_t depth() const { return depth_; }
-  size_t width() const { return width_; }
-  size_t MemoryBytes() const { return cells_.size() * sizeof(uint64_t); }
-
-  // Cell-wise sum. Throws DelosError when dimensions or seed differ.
-  void Merge(const CountMinSketch& other);
-
-  std::string Serialize() const;
-  static CountMinSketch Parse(std::string_view blob);
-
-  void Clear();
-
- private:
-  size_t CellIndex(size_t row, uint64_t hash) const;
-
-  size_t depth_;
-  size_t width_;
-  uint64_t seed_;
-  uint64_t total_weight_ = 0;
-  std::vector<uint64_t> cells_;  // row-major depth_ x width_
-};
-
 // HyperLogLog (Flajolet et al. 2007) with the standard small-range
 // correction. precision p in [4, 16] gives m = 2^p one-byte registers and
 // ~1.04/sqrt(m) relative error.
@@ -225,21 +170,13 @@ class HyperLogLog {
   HyperLogLog(int precision, uint64_t seed);
 
   void Add(std::string_view key);
-  // Hot-path variant: `hash` must be WorkloadHash(key, seed()).
+  // Hot-path variant: `hash` must be WorkloadHash(key, seed).
   void AddHashed(uint64_t hash);
-  uint64_t seed() const { return seed_; }
   // Estimated cardinality, rounded to the nearest integer (deterministic:
   // pure function of the registers).
   uint64_t Estimate() const;
 
-  int precision() const { return precision_; }
   size_t MemoryBytes() const { return registers_.size(); }
-
-  // Register-wise max. Throws DelosError when precision or seed differ.
-  void Merge(const HyperLogLog& other);
-
-  std::string Serialize() const;
-  static HyperLogLog Parse(std::string_view blob);
 
   void Clear();
 
@@ -270,18 +207,6 @@ class WorkloadAttributor {
     MetricsRegistry* metrics = nullptr;  // required
     std::string server;                  // label in renders
     FlightRecorder* recorder = nullptr;  // optional kWorkload event sink
-    // Hash-family seed. The simulator pins it (together with its injected
-    // clock windows) so sketch state is a pure function of the schedule.
-    uint64_t hash_seed = 0x5eed0fde;
-    size_t topk_keys = 64;
-    size_t topk_clients = 64;
-    // Depth 4 x width 1024 bounds per-estimate error at e/1024 (~0.27%) of
-    // total weight with failure probability e^-4 — and keeps both rate
-    // sketches at 32 KiB so the apply thread's cache isn't evicted from
-    // under it.
-    size_t cm_depth = 4;
-    size_t cm_width = 1024;
-    int hll_precision = 12;
     // The apply tap samples 1 in N applied ops: unsampled ops cost two
     // relaxed atomic adds (op and byte totals stay exact), sampled ops run
     // the full pipeline — key extraction, client-id parse, and every sketch
@@ -294,18 +219,22 @@ class WorkloadAttributor {
     // decision is a pure function of the applied-op ordinal (hashed, so
     // periodic workloads do not alias with N), identical on every replica.
     size_t rate_sample_every = 8;
-    // Hard per-server byte budget across every sketch the attributor owns.
-    // The constructor shrinks (in order) cm_width, hll_precision, then the
-    // top-K capacities until the worst-case footprint fits; the live
-    // footprint is exported as the `workload.sketch.bytes` gauge.
-    size_t sketch_byte_budget = 512 * 1024;
-    // A key (or client) holding strictly more than this share of applied
+    // A key (or client) holding strictly more than kHotSharePct of applied
     // ops — once at least hot_min_ops have been seen — is flagged: one
     // kWorkload flight event per distinct offender, and HealthCheck stall
     // reasons gain a "hot key: ..." attribution.
-    double hot_share_threshold_pct = 25.0;
     uint64_t hot_min_ops = 64;
   };
+
+  // Fixed plane geometry. Every server hashes with the same family seed, so
+  // sketch state is a pure function of the applied log (what keeps sim
+  // renders byte-identical across replays).
+  static constexpr uint64_t kHashSeed = 0x5eed0fde;
+  // Space-Saving capacity of both the hot-key and the top-client tables.
+  static constexpr size_t kTopK = 64;
+  // 2^12 HyperLogLog registers: ~1.6% relative error on distinct counts.
+  static constexpr int kHllPrecision = 12;
+  static constexpr double kHotSharePct = 25.0;
 
   // Keys longer than this are truncated before sketching, so tracked-key
   // memory is hard-bounded no matter what an application writes.
@@ -348,8 +277,8 @@ class WorkloadAttributor {
     uint64_t ops = 0;
     double share_pct = 0.0;
   };
-  // The hottest key / client iff it exceeds the configured share threshold
-  // (and hot_min_ops); nullopt otherwise. HealthCheck appends these to
+  // The hottest key / client iff it exceeds kHotSharePct (and
+  // hot_min_ops); nullopt otherwise. HealthCheck appends these to
   // stall reasons.
   std::optional<HotSpot> HottestKey() const;
   std::optional<HotSpot> HottestClient() const;
@@ -357,7 +286,6 @@ class WorkloadAttributor {
   // Current live sketch footprint in bytes (also kept in the
   // workload.sketch.bytes gauge).
   size_t SketchBytes() const;
-  size_t sketch_byte_budget() const { return options_.sketch_byte_budget; }
 
   uint64_t apply_ops() const;
 
@@ -370,8 +298,6 @@ class WorkloadAttributor {
   std::string RenderTopKeysJson() const;
   std::string RenderTopClients() const;
   std::string RenderTopClientsJson() const;
-
-  const Options& options() const { return options_; }
 
  private:
   struct LayerUsage {
@@ -388,7 +314,7 @@ class WorkloadAttributor {
     uint64_t hash = 0;   // WorkloadHash(name, client sketch seed)
   };
 
-  void ChargeClientsLocked(std::span<const uint64_t> client_ids, size_t bytes);
+  void ChargeClientsLocked(std::span<const uint64_t> client_ids);
   const CachedClient& ClientSlotLocked(uint64_t id);
   void FlushCountersLocked();
   void MaybeFlagHotLocked();
@@ -411,8 +337,6 @@ class WorkloadAttributor {
   mutable std::mutex mu_;
   SpaceSaving top_keys_;
   SpaceSaving top_clients_;
-  CountMinSketch key_ops_;
-  CountMinSketch key_bytes_;
   HyperLogLog keys_seen_;
   HyperLogLog clients_seen_;
   HyperLogLog window_keys_;

@@ -105,9 +105,6 @@ struct BaseEngineOptions {
   // ClusterServer; tests may inject their own).
   bool workload_attribution = true;
   WorkloadAttributor* workload = nullptr;
-  // Hash-family seed forwarded by ClusterServer to the attributor (the
-  // simulator pins it so sketches replay byte-identically).
-  uint64_t workload_hash_seed = 0x5eed0fde;
   // Optional (but in practice always-on: ClusterServer defaults it to the
   // server's own ring) flight recorder for appends, batch commits, flushes,
   // trims, and crashes.

@@ -30,7 +30,6 @@ ClusterServer::ClusterServer(std::string id, std::shared_ptr<ISharedLog> log,
     workload_options.metrics = &metrics_;
     workload_options.server = id_;
     workload_options.recorder = recorder_;
-    workload_options.hash_seed = base_options.workload_hash_seed;
     workload_ = std::make_unique<WorkloadAttributor>(std::move(workload_options));
     base_options.workload = workload_.get();
   }

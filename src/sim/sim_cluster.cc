@@ -400,9 +400,6 @@ class SimCluster::Impl {
     base_options.prefetch_batches = 0;
     base_options.read_cache_capacity = options_.read_cache ? 65536 : 0;
     base_options.read_cache_write_through = false;
-    // Pin the workload sketch hash family: together with the sorted renders
-    // this makes report.workload_summary a pure function of the schedule.
-    base_options.workload_hash_seed = 0x5eed0fde;
     if (options_.flush_interval_micros > 0) {
       base_options.flush_interval_micros = options_.flush_interval_micros;
     }

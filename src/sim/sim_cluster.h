@@ -151,7 +151,7 @@ struct RunReport {
   std::string slow_exemplars;   // per-server RenderSlowList()
 
   // Workload attribution (schedule-determined: the hash-family seed is
-  // pinned, sketch updates are commutative counter sums, and renders sort —
+  // a constant, sketch updates are commutative counter sums, and renders sort —
   // two replays of one seed must produce byte-identical text, and the
   // planted hot key / top client appear by name). Excluded from Summary().
   std::string workload_summary;  // per-server RenderWorkload() + top tables

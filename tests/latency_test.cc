@@ -254,18 +254,6 @@ TEST_F(AttributorTest, ApplyOnlyTrafficNeverOpensTraceBuffers) {
   EXPECT_EQ(slow[0].spans.size(), 1u);  // just the root
 }
 
-TEST_F(AttributorTest, CustomStageBucketBoundsReachTheRegistry) {
-  LatencyAttributor::Options options;
-  options.metrics = &metrics_;
-  options.server = "s0";
-  options.stage_bucket_bounds = {100, 1000, 10'000};
-  LatencyAttributor attributor(std::move(options));
-  attributor.OnSpan(Span(1, "base.append", 0, 500));
-  EXPECT_EQ(metrics_.GetHistogram("latency.e2e")->bucket_bounds(),
-            (std::vector<int64_t>{100, 1000, 10'000}));
-  EXPECT_EQ(metrics_.GetHistogram("latency.stage.base.append")->Percentile(50), 1000);
-}
-
 TEST_F(AttributorTest, ObserverWiringDeliversTracerSpans) {
   Tracer tracer;
   LatencyAttributor attributor = MakeAttributor();

@@ -361,8 +361,6 @@ class WorkloadGoldenTest : public ::testing::Test {
     options.server = "s0";
     options.rate_sample_every = 1;
     options.hot_min_ops = 4;
-    options.topk_keys = 8;
-    options.topk_clients = 8;
     workload_ = std::make_unique<WorkloadAttributor>(options);
   }
 
@@ -404,7 +402,7 @@ TEST_F(WorkloadGoldenTest, EmptyRenders) {
       "{\"server\":\"s0\",\"apply_ops\":0,\"apply_bytes\":0,"
       "\"distinct_keys\":0,\"distinct_clients\":0,\"window_distinct_keys\":0,"
       "\"window_distinct_clients\":0,\"windows_closed\":0,"
-      "\"sketch_bytes\":N,\"sketch_byte_budget\":524288,"
+      "\"sketch_bytes\":N,"
       "\"hot_key\":null,\"hot_client\":null,\"layers\":[]}");
   EXPECT_EQ(workload_->RenderTopKeys(),
       "== top keys (server s0) ==\n"
@@ -428,7 +426,7 @@ TEST_F(WorkloadGoldenTest, Renders) {
       "distinct keys: ~3 (open window ~1)\n"
       "distinct clients: ~2 (open window ~2)\n"
       "windows closed: 1\n"
-      "sketch bytes: 82550 / budget 524288\n"
+      "sketch bytes: 18846\n"
       "hot threshold: >25.0% share after 4 ops\n"
       "hot key: /a (7 ops, 70.0%)\n"
       "hot client: 7 (7 ops, 70.0%)\n"
@@ -440,7 +438,7 @@ TEST_F(WorkloadGoldenTest, Renders) {
       "{\"server\":\"s0\",\"apply_ops\":10,\"apply_bytes\":115,"
       "\"distinct_keys\":3,\"distinct_clients\":2,\"window_distinct_keys\":1,"
       "\"window_distinct_clients\":2,\"windows_closed\":1,"
-      "\"sketch_bytes\":N,\"sketch_byte_budget\":524288,"
+      "\"sketch_bytes\":N,"
       "\"hot_key\":{\"key\":\"/a\",\"ops\":7,\"share_pct\":70.0},"
       "\"hot_client\":{\"client\":\"7\",\"ops\":7,\"share_pct\":70.0},"
       "\"layers\":[{\"layer\":\"base.append\",\"ops\":2,"
