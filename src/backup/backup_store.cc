@@ -1,11 +1,5 @@
 #include "src/backup/backup_store.h"
 
-#include <filesystem>
-#include <algorithm>
-#include <fstream>
-
-#include "src/common/errors.h"
-
 namespace delos {
 
 void InMemoryBackupStore::PutObject(const std::string& name, const std::string& bytes) {
@@ -31,92 +25,6 @@ std::vector<std::string> InMemoryBackupStore::ListObjects(const std::string& pre
     }
     names.push_back(it->first);
   }
-  return names;
-}
-
-FileBackupStore::FileBackupStore(std::string directory) : directory_(std::move(directory)) {
-  std::filesystem::create_directories(directory_);
-}
-
-std::string FileBackupStore::EscapeName(const std::string& name) {
-  std::string out;
-  for (const char c : name) {
-    if (c == '/') {
-      out += "%2F";
-    } else if (c == '%') {
-      out += "%25";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string FileBackupStore::UnescapeName(const std::string& file) {
-  std::string out;
-  for (size_t i = 0; i < file.size(); ++i) {
-    if (file[i] == '%' && i + 2 < file.size()) {
-      if (file.compare(i, 3, "%2F") == 0) {
-        out.push_back('/');
-        i += 2;
-        continue;
-      }
-      if (file.compare(i, 3, "%25") == 0) {
-        out.push_back('%');
-        i += 2;
-        continue;
-      }
-    }
-    out.push_back(file[i]);
-  }
-  return out;
-}
-
-void FileBackupStore::PutObject(const std::string& name, const std::string& bytes) {
-  const std::string path = directory_ + "/" + EscapeName(name);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw StoreError("backup store: cannot open " + tmp);
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      throw StoreError("backup store: short write to " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw StoreError("backup store: rename failed: " + ec.message());
-  }
-}
-
-std::optional<std::string> FileBackupStore::GetObject(const std::string& name) const {
-  const std::string path = directory_ + "/" + EscapeName(name);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return std::nullopt;
-  }
-  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-}
-
-std::vector<std::string> FileBackupStore::ListObjects(const std::string& prefix) const {
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (const auto& dir_entry : std::filesystem::directory_iterator(directory_, ec)) {
-    if (!dir_entry.is_regular_file()) {
-      continue;
-    }
-    const std::string name = UnescapeName(dir_entry.path().filename().string());
-    if (name.size() >= 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
-      continue;
-    }
-    if (name.compare(0, prefix.size(), prefix) == 0) {
-      names.push_back(name);
-    }
-  }
-  std::sort(names.begin(), names.end());
   return names;
 }
 

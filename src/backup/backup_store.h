@@ -1,7 +1,7 @@
 // BackupStore: the external blob store that log segments and LocalStore
 // snapshots are uploaded to (the paper's backup service for Point-in-Time
-// restore, §4.2). Two implementations: filesystem-backed for durability and
-// in-memory for tests.
+// restore, §4.2). The one implementation is in memory; a durable store
+// would implement the same three calls.
 #pragma once
 
 #include <map>
@@ -30,22 +30,6 @@ class InMemoryBackupStore : public BackupStore {
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::string> objects_;
-};
-
-class FileBackupStore : public BackupStore {
- public:
-  explicit FileBackupStore(std::string directory);
-
-  void PutObject(const std::string& name, const std::string& bytes) override;
-  std::optional<std::string> GetObject(const std::string& name) const override;
-  std::vector<std::string> ListObjects(const std::string& prefix) const override;
-
- private:
-  // Object names may contain '/'; they are escaped into flat file names.
-  static std::string EscapeName(const std::string& name);
-  static std::string UnescapeName(const std::string& file);
-
-  std::string directory_;
 };
 
 }  // namespace delos

@@ -9,6 +9,14 @@
 
 namespace delos {
 
+namespace {
+
+// Flight events / trace ids captured into the conviction report.
+constexpr size_t kExcerptEvents = 16;
+constexpr size_t kExcerptTraceIds = 8;
+
+}  // namespace
+
 DivergenceTracker::DivergenceTracker(DivergenceOptions options) : options_(std::move(options)) {
   AttachSinks(options_.metrics, options_.recorder);
 }
@@ -80,8 +88,8 @@ void DivergenceTracker::CaptureConvictionLocked(uint64_t window_lo, uint64_t pos
   // excerpt shows what led up to the conviction, not the conviction itself.
   if (options_.recorder != nullptr) {
     std::vector<FlightRecorder::Event> window = options_.recorder->Snapshot();
-    if (window.size() > options_.excerpt_events) {
-      window.erase(window.begin(), window.end() - static_cast<ptrdiff_t>(options_.excerpt_events));
+    if (window.size() > kExcerptEvents) {
+      window.erase(window.begin(), window.end() - static_cast<ptrdiff_t>(kExcerptEvents));
     }
     std::ostringstream out;
     for (const FlightRecorder::Event& event : window) {
@@ -89,7 +97,7 @@ void DivergenceTracker::CaptureConvictionLocked(uint64_t window_lo, uint64_t pos
           << FlightEventKindName(event.kind);
       if (event.trace_id != 0) {
         out << " trace=" << event.trace_id;
-        if (window_trace_ids_.size() < options_.excerpt_trace_ids &&
+        if (window_trace_ids_.size() < kExcerptTraceIds &&
             std::find(window_trace_ids_.begin(), window_trace_ids_.end(), event.trace_id) ==
                 window_trace_ids_.end()) {
           window_trace_ids_.push_back(event.trace_id);

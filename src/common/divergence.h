@@ -45,9 +45,6 @@ struct DivergenceOptions {
   MetricsRegistry* metrics = nullptr;
   // kDivergence event sink + source of the conviction-time flight excerpt.
   FlightRecorder* recorder = nullptr;
-  // Flight events / trace ids captured into the conviction report.
-  size_t excerpt_events = 16;
-  size_t excerpt_trace_ids = 8;
 };
 
 class DivergenceTracker {

@@ -630,9 +630,6 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
   // anyone woken by a Sync/propose observes counts covering this batch.
   records_applied_.fetch_add(records.size(), std::memory_order_relaxed);
   batches_committed_.fetch_add(1, std::memory_order_relaxed);
-  if (probe_->profiler != nullptr) {
-    probe_->profiler->RecordBatch(static_cast<int64_t>(records.size()));
-  }
   if (batch_size_hist_ != nullptr) {
     batch_size_hist_->Record(static_cast<int64_t>(records.size()));
     records_counter_->Increment(records.size());

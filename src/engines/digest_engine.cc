@@ -247,8 +247,8 @@ void DigestEngine::ProcessBeacon(RWTxn& txn, std::string_view blob, const LogEnt
   // log prefix on every replica.
   txn.Put(prefix + PadPos(pos), EncodeDigest(local_digest));
   local_samples.emplace_back(pos, local_digest);
-  if (local_samples.size() > options_.sample_window) {
-    const size_t to_drop = local_samples.size() - options_.sample_window;
+  if (local_samples.size() > kSampleWindow) {
+    const size_t to_drop = local_samples.size() - kSampleWindow;
     for (size_t i = 0; i < to_drop; ++i) {
       txn.Delete(prefix + PadPos(local_samples[i].first));
     }
@@ -262,7 +262,7 @@ void DigestEngine::PostApplyData(const LogEntry& entry, LogPos pos) {
   if (auto sample = sample_carry_.Take(pos); sample.has_value()) {
     std::lock_guard<std::mutex> lock(soft_mu_);
     soft_samples_[sample->first] = sample->second;
-    while (soft_samples_.size() > options_.sample_window) {
+    while (soft_samples_.size() > kSampleWindow) {
       soft_samples_.erase(soft_samples_.begin());
     }
   }
@@ -275,7 +275,7 @@ void DigestEngine::PostApplyControl(const EngineHeader& header, const LogEntry& 
   if (auto sample = sample_carry_.Take(pos); sample.has_value()) {
     std::lock_guard<std::mutex> lock(soft_mu_);
     soft_samples_[sample->first] = sample->second;
-    while (soft_samples_.size() > options_.sample_window) {
+    while (soft_samples_.size() > kSampleWindow) {
       soft_samples_.erase(soft_samples_.begin());
     }
   }

@@ -62,8 +62,6 @@ class DigestEngine : public StackableEngine {
     // entry every interval, so idle clusters still cross-check (off by
     // default; the simulator keeps it off for determinism).
     int64_t beacon_interval_micros = 0;
-    // Digest samples kept in the store table and carried per beacon.
-    size_t sample_window = 8;
     Clock* clock = nullptr;  // defaults to RealClock
     bool start_enabled = true;
   };
@@ -104,6 +102,8 @@ class DigestEngine : public StackableEngine {
 
  private:
   static constexpr uint64_t kMsgTypeBeacon = 1;
+  // Digest samples kept in the store table and carried per beacon.
+  static constexpr size_t kSampleWindow = 8;
 
   // Serializes (server id, apply position, table hash, samples) from the
   // soft copy of the sample table.

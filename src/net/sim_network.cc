@@ -66,34 +66,9 @@ void SimNetwork::SetNodeUp(const NodeId& node, bool up) {
   }
 }
 
-bool SimNetwork::IsNodeUp(const NodeId& node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return down_nodes_.count(node) == 0;
-}
-
-void SimNetwork::SetLinkLatency(const NodeId& a, const NodeId& b, int64_t one_way_micros) {
-  std::lock_guard<std::mutex> lock(mu_);
-  link_latency_[OrderedPair(a, b)] = one_way_micros;
-}
-
-void SimNetwork::SetDefaultLatency(int64_t one_way_micros) {
-  std::lock_guard<std::mutex> lock(mu_);
-  config_.default_one_way_latency_micros = one_way_micros;
-}
-
-void SimNetwork::SetDropProbability(double p) {
-  std::lock_guard<std::mutex> lock(mu_);
-  config_.drop_probability = p;
-}
-
 void SimNetwork::SetFaultHook(FaultHook hook) {
   std::lock_guard<std::mutex> lock(mu_);
   fault_hook_ = std::move(hook);
-}
-
-void SimNetwork::SetFlightRecorder(FlightRecorder* recorder) {
-  std::lock_guard<std::mutex> lock(mu_);
-  recorder_ = recorder;
 }
 
 void SimNetwork::SetPartitioned(const NodeId& a, const NodeId& b, bool partitioned) {
@@ -110,12 +85,8 @@ uint64_t SimNetwork::MessageCount() const {
   return message_count_;
 }
 
-int64_t SimNetwork::LatencyLocked(const NodeId& a, const NodeId& b) {
+int64_t SimNetwork::LatencyLocked() {
   int64_t base = config_.default_one_way_latency_micros;
-  auto it = link_latency_.find(OrderedPair(a, b));
-  if (it != link_latency_.end()) {
-    base = it->second;
-  }
   if (config_.jitter_micros > 0) {
     base += rng_.Uniform(0, config_.jitter_micros);
   }
@@ -161,21 +132,13 @@ Future<std::string> SimNetwork::Call(const NodeId& from, const NodeId& to,
   });
 
   if (!LinkOpenLocked(from, to)) {
-    if (recorder_ != nullptr) {
-      recorder_->Record(FlightEventKind::kNet, "dropped " + from + "->" + to + " " + method, 0,
-                        request_index);
-    }
     return future;  // Dropped on the request path; the timeout will fire.
   }
   if (fault_hook_ != nullptr && fault_hook_(from, to, method, request_index)) {
-    if (recorder_ != nullptr) {
-      recorder_->Record(FlightEventKind::kNet, "injected drop " + from + "->" + to + " " + method,
-                        0, request_index);
-    }
     return future;  // Injected drop; the timeout will fire.
   }
 
-  const int64_t request_latency = LatencyLocked(from, to);
+  const int64_t request_latency = LatencyLocked();
   ScheduleLocked(request_latency, [this, call, from, to, method, request = std::move(request)] {
     AsyncHandler handler;
     {
@@ -193,22 +156,12 @@ Future<std::string> SimNetwork::Call(const NodeId& from, const NodeId& to,
       std::lock_guard<std::mutex> lock(mu_);
       const uint64_t reply_index = ++message_count_;
       if (!LinkOpenLocked(to, from)) {
-        if (recorder_ != nullptr) {
-          recorder_->Record(FlightEventKind::kNet, "dropped reply " + to + "->" + from + " " +
-                                                       method,
-                            0, reply_index);
-        }
         return;  // Reply dropped; the timeout will fire.
       }
       if (fault_hook_ != nullptr && fault_hook_(to, from, method, reply_index)) {
-        if (recorder_ != nullptr) {
-          recorder_->Record(FlightEventKind::kNet, "injected drop reply " + to + "->" + from +
-                                                       " " + method,
-                            0, reply_index);
-        }
         return;  // Injected drop; the timeout will fire.
       }
-      const int64_t reply_latency = LatencyLocked(to, from);
+      const int64_t reply_latency = LatencyLocked();
       ScheduleLocked(reply_latency, [call, reply = std::move(reply)]() mutable {
         if (!call->done) {
           call->done = true;
