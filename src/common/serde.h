@@ -25,6 +25,9 @@ class Serializer {
   // Size-hinted constructor: pre-reserves the buffer so hot-path encoders
   // (e.g. Propose serializing a LogEntry of known size) avoid reallocation.
   explicit Serializer(size_t size_hint) { buffer_.reserve(size_hint); }
+  // Appends to a recycled buffer: its contents are dropped, its capacity
+  // kept (e.g. a buffer handed back by Release() on an earlier call).
+  explicit Serializer(std::string&& recycled) : buffer_(std::move(recycled)) { buffer_.clear(); }
 
   void Reserve(size_t additional) { buffer_.reserve(buffer_.size() + additional); }
 

@@ -46,12 +46,36 @@ std::pair<uint64_t, std::string> DecodeSegmentMsg(const std::string& blob) {
   return {segment, std::move(server)};
 }
 
+// Number of contiguous completed segments from 0 in `txn` (a ROTxn or a
+// RWTxn) under the engine's keyspace.
+template <typename Txn>
+uint64_t CompletedSegments(const Txn& txn, const Keyspace& space) {
+  uint64_t next_segment = 0;
+  txn.Scan(space.Key("bid/"), space.Key("bid0"), [&](std::string_view key, std::string_view value) {
+    // Key suffix is the zero-padded segment number.
+    const std::string_view digits = key.substr(key.size() - 12);
+    const uint64_t segment = std::stoull(std::string(digits));
+    auto [bidder, done] = DecodeBidState(value);
+    if (segment != next_segment || !done) {
+      return false;
+    }
+    ++next_segment;
+    return true;
+  });
+  return next_segment;
+}
+
 }  // namespace
 
 LogBackupEngine::LogBackupEngine(Options options, IEngine* downstream, LocalStore* store)
     : StackableEngine(kEngineName, downstream, store,
                       StackableEngineOptions{options.start_enabled}),
       options_(std::move(options)) {
+  // The trim opinion holds from the start: nothing un-backed may be trimmed,
+  // including before segment 0 completes and right after a restart.
+  backed_prefix_.store(CompletedSegments(store->Snapshot(), space()) * options_.segment_size,
+                       std::memory_order_release);
+  SetOwnTrimOpinion(backed_prefix_.load(std::memory_order_relaxed));
   upload_worker_ = std::thread([this] { UploadWorkerMain(); });
 }
 
@@ -110,21 +134,8 @@ std::any LogBackupEngine::ApplyControl(RWTxn& txn, const EngineHeader& header,
 }
 
 void LogBackupEngine::RecomputeBackedPrefix(RWTxn& txn) {
-  // Walk contiguous completed segments from 0.
-  uint64_t next_segment = 0;
-  txn.Scan(space().Key("bid/"), space().Key("bid0"),
-           [&](std::string_view key, std::string_view value) {
-             // Key suffix is the zero-padded segment number.
-             const std::string_view digits = key.substr(key.size() - 12);
-             const uint64_t segment = std::stoull(std::string(digits));
-             auto [bidder, done] = DecodeBidState(value);
-             if (segment != next_segment || !done) {
-               return false;
-             }
-             ++next_segment;
-             return true;
-           });
-  backed_prefix_.store(next_segment * options_.segment_size, std::memory_order_release);
+  backed_prefix_.store(CompletedSegments(txn, space()) * options_.segment_size,
+                       std::memory_order_release);
 }
 
 void LogBackupEngine::PostApplyData(const LogEntry& entry, LogPos pos) {
@@ -141,10 +152,7 @@ void LogBackupEngine::PostApplyControl(const EngineHeader& header, const LogEntr
     }
   }
   if (header.msgtype == kMsgTypeComplete) {
-    const LogPos prefix = backed_prefix_.load(std::memory_order_acquire);
-    if (prefix > 0) {
-      SetOwnTrimOpinion(prefix);
-    }
+    SetOwnTrimOpinion(backed_prefix_.load(std::memory_order_acquire));
   }
   MaybeBid(pos);
 }

@@ -10,8 +10,9 @@
 //  * The winner uploads the segment (on a background worker, off the apply
 //    thread) and proposes COMPLETE when done.
 //  * The engine's trim opinion is the end of the last contiguous completed
-//    segment, so the BaseEngine never trims entries that are not yet backed
-//    up (setTrimPrefix min-relay, §3.3).
+//    segment (0 until segment 0 completes), set from construction on, so the
+//    BaseEngine never trims entries that are not yet backed up
+//    (setTrimPrefix min-relay, §3.3).
 #pragma once
 
 #include <atomic>

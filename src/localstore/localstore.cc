@@ -341,6 +341,7 @@ std::unique_ptr<LocalStore> LocalStore::Open(Options options) {
         std::unique_lock<std::shared_mutex> lock(store->data_mu_);
         store->data_.clear();
         store->checksum_.Reset();
+        store->live_keys_ = 0;
       }
       store->committed_version_.store(0, std::memory_order_release);
       store->flushed_version_.store(0, std::memory_order_release);
@@ -392,9 +393,11 @@ void LocalStore::CommitBatch(std::vector<RWTxn::Op>& ops,
     Chain& chain = it->second;
     if (!chain.empty() && chain.back().value.has_value()) {
       checksum_.Remove(key, *chain.back().value);
+      --live_keys_;
     }
     if (value.has_value()) {
       checksum_.Add(key, *value);
+      ++live_keys_;
     }
     chain.push_back(VersionedValue{new_version, std::move(value)});
     CompactChainLocked(chain, compact_to);
@@ -460,37 +463,52 @@ uint64_t LocalStore::Checksum() const {
 
 size_t LocalStore::KeyCount() const {
   std::shared_lock<std::shared_mutex> lock(data_mu_);
-  size_t count = 0;
-  for (const auto& [key, chain] : data_) {
-    if (!chain.empty() && chain.back().value.has_value()) {
-      ++count;
-    }
-  }
-  return count;
+  return live_keys_;
 }
 
 ROTxn LocalStore::Flush() {
-  ROTxn snapshot = Snapshot();
   if (options_.checkpoint_path.empty()) {
+    ROTxn snapshot = Snapshot();
     flushed_version_.store(snapshot.version(), std::memory_order_release);
     return snapshot;
   }
-  Serializer ser;
-  ser.WriteString(kCheckpointMagic);
-  ser.WriteFixed64(snapshot.version());
-  std::vector<std::pair<std::string, std::string>> pairs;
-  snapshot.Scan("", "", [&](std::string_view key, std::string_view value) {
-    pairs.emplace_back(std::string(key), std::string(value));
-    return true;
-  });
-  ser.WriteVarint(pairs.size());
-  IncrementalChecksum check;
-  for (const auto& [key, value] : pairs) {
-    ser.WriteString(key);
-    ser.WriteString(value);
-    check.Add(key, value);
+  std::lock_guard<std::mutex> flush_lock(flush_mu_);
+  // An armed tear always writes, idle or not, so a fault schedule that arms
+  // one tears the same flush it would have torn before the idle skip.
+  const int64_t torn = torn_flush_bytes_.exchange(-1, std::memory_order_acq_rel);
+  if (torn < 0) {
+    std::shared_lock<std::shared_mutex> lock(data_mu_);
+    if (committed_version() == checkpoint_version_) {
+      return ROTxn(std::make_shared<internal::SnapshotHandle>(this, checkpoint_version_));
+    }
   }
-  ser.WriteFixed64(check.digest());
+  // Reserve for some growth before taking the data lock, so the walk under
+  // it appends into memory that is already there.
+  const size_t last_size = flush_buffer_.size();
+  Serializer ser(std::move(flush_buffer_));
+  ser.Reserve(last_size + last_size / 4);
+  ROTxn snapshot;
+  uint64_t digest;
+  {
+    // One shared lock pins the snapshot, the digest and the pairs to the
+    // same committed version: no commit can land, so every chain's newest
+    // entry is that version's value, and the store's incremental checksum
+    // is the digest of exactly the pairs written.
+    std::shared_lock<std::shared_mutex> lock(data_mu_);
+    snapshot = ROTxn(std::make_shared<internal::SnapshotHandle>(this, committed_version()));
+    ser.WriteString(kCheckpointMagic);
+    ser.WriteFixed64(snapshot.version());
+    ser.WriteVarint(live_keys_);
+    for (const auto& [key, chain] : data_) {
+      if (!chain.empty() && chain.back().value.has_value()) {
+        ser.WriteString(key);
+        ser.WriteString(*chain.back().value);
+      }
+    }
+    digest = checksum_.digest();
+  }
+  ser.WriteFixed64(digest);
+  flush_buffer_ = ser.Release();
 
   const std::string tmp_path = options_.checkpoint_path + ".tmp";
   {
@@ -498,13 +516,11 @@ ROTxn LocalStore::Flush() {
     if (!out) {
       throw StoreError("cannot open checkpoint file " + tmp_path);
     }
-    const std::string& buffer = ser.buffer();
-    size_t write_bytes = buffer.size();
-    const int64_t torn = torn_flush_bytes_.exchange(-1, std::memory_order_acq_rel);
+    size_t write_bytes = flush_buffer_.size();
     if (torn >= 0) {
       write_bytes = std::min(write_bytes, static_cast<size_t>(torn));
     }
-    out.write(buffer.data(), static_cast<std::streamsize>(write_bytes));
+    out.write(flush_buffer_.data(), static_cast<std::streamsize>(write_bytes));
     if (!out) {
       throw StoreError("short write to checkpoint file " + tmp_path);
     }
@@ -514,16 +530,22 @@ ROTxn LocalStore::Flush() {
   if (ec) {
     throw StoreError("checkpoint rename failed: " + ec.message());
   }
+  checkpoint_version_ = torn < 0 ? snapshot.version() : kNoCheckpoint;
   flushed_version_.store(snapshot.version(), std::memory_order_release);
   return snapshot;
 }
 
 void LocalStore::LoadCheckpoint() {
-  std::ifstream in(options_.checkpoint_path, std::ios::binary);
-  if (!in) {
+  std::ifstream in(options_.checkpoint_path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size < 0) {
     throw StoreError("cannot open checkpoint " + options_.checkpoint_path);
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  // One sized read; the pairs are parsed as views into this buffer.
+  std::string bytes(static_cast<size_t>(size), '\0');
+  in.seekg(0);
+  in.read(bytes.data(), size);
+  bytes.resize(static_cast<size_t>(in.gcount()));
   try {
     LoadCheckpointBytes(bytes);
   } catch (const SerdeError& e) {
@@ -532,30 +554,40 @@ void LocalStore::LoadCheckpoint() {
     throw StoreError(std::string("truncated checkpoint ") + options_.checkpoint_path + ": " +
                      e.what());
   }
+  // The image is the size the first flush will write: keep it as that
+  // flush's buffer.
+  flush_buffer_ = std::move(bytes);
 }
 
-void LocalStore::LoadCheckpointBytes(const std::string& bytes) {
+void LocalStore::LoadCheckpointBytes(std::string_view bytes) {
   Deserializer de(bytes);
-  if (de.ReadString() != kCheckpointMagic) {
+  if (de.ReadStringView() != kCheckpointMagic) {
     throw StoreError("bad checkpoint magic in " + options_.checkpoint_path);
   }
   const uint64_t version = de.ReadFixed64();
   const uint64_t count = de.ReadVarint();
+  // Each pair is hashed once, into `check`; it becomes the store's checksum
+  // only once it matches the digest the file ends with.
   IncrementalChecksum check;
-  {
-    std::unique_lock<std::shared_mutex> lock(data_mu_);
-    for (uint64_t i = 0; i < count; ++i) {
-      std::string key = de.ReadString();
-      std::string value = de.ReadString();
-      check.Add(key, value);
-      checksum_.Add(key, value);
-      data_[std::move(key)] = Chain{VersionedValue{version, std::move(value)}};
-    }
+  std::unique_lock<std::shared_mutex> lock(data_mu_);
+  for (uint64_t i = 0; i < count; ++i) {
+    const std::string_view key = de.ReadStringView();
+    const std::string_view value = de.ReadStringView();
+    check.Add(key, value);
+    // Flush writes the keys in order, so the end hint makes each insert
+    // O(1); a key out of order still lands in place. A repeated key keeps
+    // its last pair.
+    Chain& chain = data_.try_emplace(data_.end(), std::string(key))->second;
+    chain.clear();
+    chain.push_back(VersionedValue{version, std::string(value)});
   }
   const uint64_t expected = de.ReadFixed64();
   if (check.digest() != expected) {
     throw StoreError("checkpoint checksum mismatch in " + options_.checkpoint_path);
   }
+  checksum_ = check;
+  live_keys_ = data_.size();
+  checkpoint_version_ = version;
   committed_version_.store(version, std::memory_order_release);
   flushed_version_.store(version, std::memory_order_release);
 }

@@ -218,7 +218,8 @@ class LocalStore {
 
   // Writes a durable checkpoint of the current committed state and returns
   // the snapshot that was persisted. No-op (returns snapshot) for in-memory
-  // stores.
+  // stores, and when nothing has committed since this store last wrote or
+  // loaded a whole checkpoint (the store must be the file's only writer).
   ROTxn Flush();
 
   uint64_t committed_version() const { return committed_version_.load(std::memory_order_acquire); }
@@ -266,12 +267,24 @@ class LocalStore {
   static std::optional<std::string> ValueAt(const Chain& chain, uint64_t version);
   static void CompactChainLocked(Chain& chain, uint64_t min_active);
   void LoadCheckpoint();
-  void LoadCheckpointBytes(const std::string& bytes);
+  void LoadCheckpointBytes(std::string_view bytes);
+
+  static constexpr uint64_t kNoCheckpoint = UINT64_MAX;
 
   Options options_;
   mutable std::shared_mutex data_mu_;
   std::map<std::string, Chain, std::less<>> data_;
   IncrementalChecksum checksum_;
+  size_t live_keys_ = 0;  // chains whose newest version is a value
+
+  // Serializes Flush(). Guards the two fields below.
+  std::mutex flush_mu_;
+  // Version of the whole checkpoint this store last wrote or loaded, or
+  // kNoCheckpoint (none yet, or the last write was torn).
+  uint64_t checkpoint_version_ = kNoCheckpoint;
+  // The last checkpoint image, kept so the next flush serializes into
+  // memory that is already allocated and mapped.
+  std::string flush_buffer_;
 
   std::atomic<uint64_t> committed_version_{0};
   std::atomic<uint64_t> flushed_version_{0};

@@ -379,6 +379,17 @@ TEST(ChecksumTest, AddRemoveRestores) {
   EXPECT_EQ(check.digest(), before);
 }
 
+// PairHash values are persisted (every checkpoint ends with their XOR), so
+// the word-at-a-time implementation must keep producing these exact values.
+TEST(ChecksumTest, PairHashValuesArePinned) {
+  std::string row(120, 'r');
+  row[7] = '\xff';
+  row[119] = '\x80';
+  EXPECT_EQ(IncrementalChecksum::PairHash("t/rows/r/00000042", row), 0x999c7954a0641e6bULL);
+  EXPECT_EQ(IncrementalChecksum::PairHash("", ""), 0xea0514881b11fde9ULL);
+  EXPECT_EQ(IncrementalChecksum::PairHash("abcdefgh", "\xf0\x01xyz"), 0x6d0464b8abd9cc3cULL);
+}
+
 TEST(ChecksumTest, KeyValueBoundaryMatters) {
   EXPECT_NE(IncrementalChecksum::PairHash("ab", "c"), IncrementalChecksum::PairHash("a", "bc"));
 }

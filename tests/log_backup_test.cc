@@ -3,6 +3,7 @@
 // without snapshots).
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <thread>
 
 #include "src/backup/restore.h"
@@ -119,6 +120,65 @@ TEST(LogBackupTest, TrimWaitsForBackup) {
   // ...but only the backed-up prefix may actually be trimmed.
   EXPECT_LE(log->trim_prefix(), server.lb->BackedUpPrefix());
   EXPECT_GT(log->trim_prefix(), 0u);
+}
+
+// The trim constraint holds before the first segment is backed up: with
+// segment 0 still open, nothing may be trimmed even though the app allows it.
+TEST(LogBackupTest, NothingTrimmedBeforeTheFirstSegmentCompletes) {
+  auto log = std::make_shared<InMemoryLog>();
+  InMemoryBackupStore backup;
+  LbServer server("a", log, &backup, /*segment_size=*/1000);
+  for (int i = 0; i < 10; ++i) {
+    server.lb->Propose(PayloadEntry("k" + std::to_string(i))).Get();
+  }
+  server.base->FlushNow();
+  server.lb->SetTrimPrefix(10);
+  server.base->TrimNow();
+  EXPECT_EQ(server.lb->BackedUpPrefix(), 0u);
+  EXPECT_EQ(log->trim_prefix(), 0u);
+}
+
+// A restarted server takes its backed-up prefix from the recovered store, so
+// the constraint holds before any new segment completes.
+TEST(LogBackupTest, RestartKeepsTheBackedPrefixAsTrimConstraint) {
+  const std::string ckpt = testing::TempDir() + "/lb_restart.ckpt";
+  std::filesystem::remove(ckpt);
+  auto log = std::make_shared<InMemoryLog>();
+  InMemoryBackupStore backup;
+  LogBackupEngine::Options options;
+  options.server_id = "a";
+  options.backup_store = &backup;
+  options.log = log.get();
+  options.segment_size = 4;
+  {
+    auto store = LocalStore::Open({ckpt});
+    KvApplicator app;
+    BaseEngine base(log, store.get(), BaseEngineOptions{});
+    LogBackupEngine lb(options, &base, store.get());
+    lb.RegisterUpcall(&app);
+    base.Start();
+    for (int i = 0; i < 10; ++i) {
+      lb.Propose(PayloadEntry("k" + std::to_string(i))).Get();
+    }
+    WaitForBackedPrefix(&lb, 8);
+    base.Sync().Get();
+    base.FlushNow();
+    base.Stop();
+  }
+  // The recovered server is never started, so no segment completes after
+  // the restart: the prefix it reports comes from the checkpoint alone.
+  auto store = LocalStore::Open({ckpt});
+  KvApplicator app;
+  BaseEngine base(log, store.get(), BaseEngineOptions{});
+  LogBackupEngine lb(options, &base, store.get());
+  lb.RegisterUpcall(&app);
+  EXPECT_GE(lb.BackedUpPrefix(), 8u);
+  lb.SetTrimPrefix(log->CheckTail().Get() - 1);
+  base.FlushNow();
+  base.TrimNow();
+  EXPECT_GT(log->trim_prefix(), 0u);
+  EXPECT_LE(log->trim_prefix(), lb.BackedUpPrefix());
+  std::filesystem::remove(ckpt);
 }
 
 // Replays positions [1, upto] of `source` through a fresh Base+KvApplicator
