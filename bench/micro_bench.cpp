@@ -4,9 +4,12 @@
 // sit on.
 #include <benchmark/benchmark.h>
 
+#include <malloc.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
-#include <unistd.h>
+#include <fstream>
 
 #include "src/common/checksum.h"
 #include "src/common/serde.h"
@@ -98,12 +101,9 @@ class TableShapedCheckpoint {
     store_ = LocalStore::Open(options());
     RWTxn txn = store_->BeginRW();
     const std::string row(120, 'r');
-    char key[48];
     for (int pk = 0; pk < kRows; ++pk) {
-      std::snprintf(key, sizeof(key), "t/rows/r/%08d", pk);
-      txn.Put(key, row);
-      std::snprintf(key, sizeof(key), "t/rows/i/v/%08d/%08d", pk % 97, pk);
-      txn.Put(key, "");
+      txn.Put(RowKey(pk), row);
+      txn.Put(IndexKey(pk), "");
     }
     txn.Commit();
     store_->Flush();
@@ -111,6 +111,17 @@ class TableShapedCheckpoint {
   ~TableShapedCheckpoint() {
     store_.reset();
     std::filesystem::remove_all(dir_);
+  }
+
+  static std::string RowKey(int pk) {
+    char key[48];
+    std::snprintf(key, sizeof(key), "t/rows/r/%08d", pk);
+    return key;
+  }
+  static std::string IndexKey(int pk) {
+    char key[48];
+    std::snprintf(key, sizeof(key), "t/rows/i/v/%08d/%08d", pk % 97, pk);
+    return key;
   }
 
   LocalStore::Options options() const { return {(dir_ / "store.ckpt").string()}; }
@@ -121,9 +132,34 @@ class TableShapedCheckpoint {
   std::unique_ptr<LocalStore> store_;
 };
 
-// Restart cost: read, verify and install the whole checkpoint.
+// The process's resident set size in bytes, from /proc/self/status.
+int64_t ResidentBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stoll(line.substr(6)) * 1024;
+    }
+  }
+  return 0;
+}
+
+// Restart cost: read, verify and install the whole checkpoint. The
+// bytes_per_key counter is the resident growth of one opened store (nodes,
+// values and the kept checkpoint image) per key. A first store fills the
+// holes the fixture's freed write batch left in the heap, and malloc_trim
+// hands back the pages it freed whole, so the measured open faults in
+// memory of its own.
 void BM_LocalStoreCheckpointOpen(benchmark::State& state) {
   TableShapedCheckpoint checkpoint;
+  {
+    std::unique_ptr<LocalStore> warm = LocalStore::Open(checkpoint.options());
+    malloc_trim(0);
+    const int64_t rss_before = ResidentBytes();
+    std::unique_ptr<LocalStore> measured = LocalStore::Open(checkpoint.options());
+    state.counters["bytes_per_key"] = static_cast<double>(ResidentBytes() - rss_before) /
+                                      static_cast<double>(measured->KeyCount());
+  }
   for (auto _ : state) {
     std::unique_ptr<LocalStore> store = LocalStore::Open(checkpoint.options());
     benchmark::DoNotOptimize(store->Checksum());
@@ -151,6 +187,34 @@ void BM_LocalStoreCheckpointFlush(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * TableShapedCheckpoint::kRows);
 }
 BENCHMARK(BM_LocalStoreCheckpointFlush)->Unit(benchmark::kMillisecond);
+
+// Group commits that overwrite keys of the table shape, 64 puts each: 32
+// rows and their index entries, as a table_indexed upsert batch or a Zelos
+// replay writes existing keys.
+void BM_LocalStoreCommitOverwrite(benchmark::State& state) {
+  TableShapedCheckpoint checkpoint;
+  LocalStore& store = checkpoint.store();
+  std::vector<std::string> row_keys;
+  std::vector<std::string> index_keys;
+  for (int pk = 0; pk < TableShapedCheckpoint::kRows; ++pk) {
+    row_keys.push_back(TableShapedCheckpoint::RowKey(pk));
+    index_keys.push_back(TableShapedCheckpoint::IndexKey(pk));
+  }
+  const std::string row(120, 'u');
+  size_t next = 0;
+  for (auto _ : state) {
+    RWTxn txn = store.BeginRW();
+    for (int j = 0; j < 32; ++j) {
+      const size_t pk = (next++ * 7919) % row_keys.size();
+      txn.Put(row_keys[pk], row);
+      txn.Put(index_keys[pk], "");
+    }
+    txn.Commit();
+  }
+  benchmark::DoNotOptimize(store.Checksum());
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_LocalStoreCommitOverwrite);
 
 void BM_SavepointRollback(benchmark::State& state) {
   LocalStore store;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <tuple>
 
 #include "src/common/logging.h"
 #include "src/common/serde.h"
@@ -29,6 +30,10 @@ std::string PrefixUpperBound(std::string_view prefix) {
 
 constexpr std::string_view kCheckpointMagic = "DLSC1";
 
+std::optional<std::string> Copy(const std::string* value) {
+  return value != nullptr ? std::make_optional(*value) : std::nullopt;
+}
+
 }  // namespace
 
 namespace internal {
@@ -51,7 +56,7 @@ std::optional<std::string> ROTxn::Get(std::string_view key) const {
   if (it == store->data_.end()) {
     return std::nullopt;
   }
-  return LocalStore::ValueAt(it->second, version());
+  return Copy(it->second.ValueAt(version()));
 }
 
 void ROTxn::Scan(std::string_view start, std::string_view end,
@@ -59,12 +64,14 @@ void ROTxn::Scan(std::string_view start, std::string_view end,
   LocalStore* store = handle_->store();
   std::shared_lock<std::shared_mutex> lock(store->data_mu_);
   for (auto it = store->data_.lower_bound(start); it != store->data_.end(); ++it) {
-    if (!end.empty() && it->first >= end) {
+    const std::string_view key = it->first.view();
+    if (!end.empty() && key >= end) {
       break;
     }
-    auto value = LocalStore::ValueAt(it->second, version());
-    if (value.has_value()) {
-      if (!fn(it->first, *value)) {
+    // The shared lock is held while fn runs, so it can read the stored value
+    // in place.
+    if (const std::string* value = it->second.ValueAt(version())) {
+      if (!fn(key, *value)) {
         break;
       }
     }
@@ -112,21 +119,21 @@ void RWTxn::Release() {
   }
 }
 
-void RWTxn::Put(std::string_view key, std::string_view value) {
-  ops_.push_back(Op{std::string(key), std::string(value)});
-  RecordWrite();
-}
+void RWTxn::Put(std::string_view key, std::string_view value) { Stage(key, std::string(value)); }
 
-void RWTxn::Delete(std::string_view key) {
-  ops_.push_back(Op{std::string(key), std::nullopt});
-  RecordWrite();
-}
+void RWTxn::Delete(std::string_view key) { Stage(key, std::nullopt); }
 
-void RWTxn::RecordWrite() {
-  const size_t index = ops_.size() - 1;
-  auto [it, inserted] = write_index_.try_emplace(ops_[index].key, index);
-  prev_index_.push_back(inserted ? std::nullopt : std::make_optional(it->second));
-  it->second = index;
+void RWTxn::Stage(std::string_view key, std::optional<std::string> value) {
+  const size_t index = ops_.size();
+  auto it = write_index_.lower_bound(key);
+  if (it != write_index_.end() && it->first == key) {
+    prev_index_.push_back(it->second);
+    it->second = index;
+  } else {
+    it = write_index_.emplace_hint(it, key, index);
+    prev_index_.push_back(std::nullopt);
+  }
+  ops_.push_back(Op{it, std::move(value)});
 }
 
 std::optional<std::string> RWTxn::Get(std::string_view key) const {
@@ -139,7 +146,7 @@ std::optional<std::string> RWTxn::Get(std::string_view key) const {
   if (chain_it == store_->data_.end()) {
     return std::nullopt;
   }
-  return LocalStore::ValueAt(chain_it->second, base_version_);
+  return Copy(chain_it->second.ValueAt(base_version_));
 }
 
 void RWTxn::Scan(std::string_view start, std::string_view end,
@@ -155,12 +162,12 @@ void RWTxn::Scan(std::string_view start, std::string_view end,
   {
     std::shared_lock<std::shared_mutex> lock(store_->data_mu_);
     for (auto it = store_->data_.lower_bound(start); it != store_->data_.end(); ++it) {
-      if (!end.empty() && it->first >= end) {
+      const std::string_view key = it->first.view();
+      if (!end.empty() && key >= end) {
         break;
       }
-      auto value = LocalStore::ValueAt(it->second, base_version_);
-      if (value.has_value()) {
-        committed.emplace_back(it->first, std::move(*value));
+      if (const std::string* value = it->second.ValueAt(base_version_)) {
+        committed.emplace_back(key, *value);
       }
     }
   }
@@ -215,12 +222,9 @@ uint64_t RWTxn::EffectiveDigest(const std::vector<std::string>& exclude_keys) co
   // the seed checksum and every committed chain value) for the
   // transaction's lifetime, so the cached prefix digest stays valid until a
   // rollback pops staged ops below the cache point (see RollbackTo).
-  const auto committed_value = [&](std::string_view key) -> std::optional<std::string> {
+  const auto committed_value = [&](std::string_view key) -> const std::string* {
     auto chain_it = store_->data_.find(key);
-    if (chain_it == store_->data_.end()) {
-      return std::nullopt;
-    }
-    return LocalStore::ValueAt(chain_it->second, base_version_);
+    return chain_it == store_->data_.end() ? nullptr : chain_it->second.ValueAt(base_version_);
   };
   const auto excluded = [&](std::string_view key) {
     return std::find(exclude_keys.begin(), exclude_keys.end(), key) != exclude_keys.end();
@@ -231,7 +235,7 @@ uint64_t RWTxn::EffectiveDigest(const std::vector<std::string>& exclude_keys) co
     // their staged ops are skipped in the walk, so they contribute nothing.
     digest_cache_ = store_->checksum_.digest();
     for (const std::string& key : exclude_keys) {
-      if (auto value = committed_value(key); value.has_value()) {
+      if (const std::string* value = committed_value(key)) {
         digest_cache_ ^= IncrementalChecksum::PairHash(key, *value);
       }
     }
@@ -254,18 +258,18 @@ uint64_t RWTxn::EffectiveDigest(const std::vector<std::string>& exclude_keys) co
   }
   for (size_t i = digest_cached_ops_; i < ops_.size(); ++i) {
     const Op& op = ops_[i];
-    if (excluded(op.key)) {
+    if (excluded(op.key())) {
       continue;
     }
     if (prev_index_[i].has_value()) {
       if (ops_[*prev_index_[i]].value.has_value()) {
         digest_cache_ ^= digest_op_hash_[*prev_index_[i]];
       }
-    } else if (auto old_value = committed_value(op.key); old_value.has_value()) {
-      digest_cache_ ^= IncrementalChecksum::PairHash(op.key, *old_value);
+    } else if (const std::string* old_value = committed_value(op.key())) {
+      digest_cache_ ^= IncrementalChecksum::PairHash(op.key(), *old_value);
     }
     if (op.value.has_value()) {
-      digest_op_hash_[i] = IncrementalChecksum::PairHash(op.key, *op.value);
+      digest_op_hash_[i] = IncrementalChecksum::PairHash(op.key(), *op.value);
       digest_cache_ ^= digest_op_hash_[i];
     }
   }
@@ -284,9 +288,9 @@ void RWTxn::RollbackTo(const Savepoint& savepoint) {
   // entries before it.
   for (size_t i = ops_.size(); i-- > savepoint.op_count;) {
     if (prev_index_[i].has_value()) {
-      write_index_[ops_[i].key] = *prev_index_[i];
+      ops_[i].entry->second = *prev_index_[i];
     } else {
-      write_index_.erase(ops_[i].key);
+      write_index_.erase(ops_[i].entry);
     }
   }
   ops_.resize(savepoint.op_count);
@@ -368,8 +372,7 @@ ROTxn LocalStore::Snapshot() {
   return ROTxn(std::make_shared<internal::SnapshotHandle>(this, committed_version()));
 }
 
-void LocalStore::CommitBatch(std::vector<RWTxn::Op>& ops,
-                             const std::map<std::string, size_t, std::less<>>& last_op) {
+void LocalStore::CommitBatch(std::vector<RWTxn::Op>& ops, const RWTxn::WriteIndex& last_op) {
   if (fault_injected_.exchange(false, std::memory_order_acq_rel)) {
     throw StoreError("injected commit fault (out of space)");
   }
@@ -380,7 +383,6 @@ void LocalStore::CommitBatch(std::vector<RWTxn::Op>& ops,
     std::lock_guard<std::mutex> snap_lock(snapshots_mu_);
     min_active = MinActiveSnapshotLocked();
   }
-  const uint64_t compact_to = std::min(min_active, new_version);
   // Only each key's last staged op is applied. Every op of the transaction
   // writes new_version, so applying them one by one would overwrite a key's
   // earlier ops in place: their checksum terms cancel, and compaction and
@@ -389,51 +391,84 @@ void LocalStore::CommitBatch(std::vector<RWTxn::Op>& ops,
   auto hint = data_.begin();
   for (const auto& [key, index] : last_op) {
     std::optional<std::string>& value = ops[index].value;
-    auto it = data_.try_emplace(hint, key);
+    auto it = NodeFor(hint, key);
     Chain& chain = it->second;
-    if (!chain.empty() && chain.back().value.has_value()) {
-      checksum_.Remove(key, *chain.back().value);
+    if (const std::string* old_value = chain.Newest()) {
+      checksum_.Remove(key, *old_value);
       --live_keys_;
     }
     if (value.has_value()) {
       checksum_.Add(key, *value);
       ++live_keys_;
     }
-    chain.push_back(VersionedValue{new_version, std::move(value)});
-    CompactChainLocked(chain, compact_to);
+    chain.Commit(new_version, std::move(value), min_active);
     hint = chain.empty() ? data_.erase(it) : std::next(it);
   }
   committed_version_.store(new_version, std::memory_order_release);
 }
 
-std::optional<std::string> LocalStore::ValueAt(const Chain& chain, uint64_t version) {
-  // Chains are short (compacted on write); a reverse linear scan is fastest.
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    if (it->version <= version) {
-      return it->value;
-    }
+LocalStore::Map::iterator LocalStore::NodeFor(Map::iterator hint, std::string_view key) {
+  const bool fits = (hint == data_.end() || key <= hint->first.view()) &&
+                    (hint == data_.begin() || std::prev(hint)->first.view() < key);
+  if (!fits) {
+    hint = data_.lower_bound(key);
   }
-  return std::nullopt;
+  if (hint != data_.end() && hint->first.view() == key) {
+    return hint;
+  }
+  return data_.emplace_hint(hint, std::piecewise_construct, std::forward_as_tuple(key),
+                            std::forward_as_tuple());
 }
 
-void LocalStore::CompactChainLocked(Chain& chain, uint64_t min_active) {
-  // Keep the newest version <= min_active (some snapshot may read it) and
-  // everything after; drop older ones. Drop a trailing tombstone nothing can
-  // observe.
-  size_t keep_from = 0;
-  for (size_t i = 0; i < chain.size(); ++i) {
-    if (chain[i].version <= min_active) {
-      keep_from = i;
-    } else {
-      break;
+LocalStore::Key::Key(std::string_view bytes) : size_(bytes.size()) {
+  char* out = inline_;
+  if (size_ > kInlineBytes) {
+    heap_ = new char[size_];
+    out = heap_;
+  }
+  bytes.copy(out, size_);
+}
+
+LocalStore::Key::~Key() {
+  if (size_ > kInlineBytes) {
+    delete[] heap_;
+  }
+}
+
+const std::string* LocalStore::Chain::ValueAt(uint64_t version) const {
+  if (newest_.version <= version) {
+    return Newest();
+  }
+  // Spilled versions are few (compacted on every commit to the key); a
+  // reverse linear scan is fastest.
+  for (auto it = older_.rbegin(); it != older_.rend(); ++it) {
+    if (it->version <= version) {
+      return it->value ? &*it->value : nullptr;
     }
   }
-  if (keep_from > 0) {
-    chain.erase(chain.begin(), chain.begin() + static_cast<ptrdiff_t>(keep_from));
+  return nullptr;
+}
+
+void LocalStore::Chain::Commit(uint64_t version, std::optional<std::string> value,
+                               uint64_t min_active) {
+  // The displaced version spills only if a snapshot older than `version`
+  // is pinned, which may read it.
+  if (min_active < version && !empty()) {
+    older_.push_back(std::move(newest_));
   }
-  if (chain.size() == 1 && !chain[0].value.has_value() && chain[0].version <= min_active) {
-    chain.clear();
+  newest_ = VersionedValue{version, std::move(value)};
+  // Keep the newest version <= min_active (some snapshot may read it) and
+  // everything after; drop older ones. Once nothing is spilled, free the
+  // spill buffer.
+  if (newest_.version <= min_active) {
+    older_ = std::vector<VersionedValue>();
+    return;
   }
+  size_t keep_from = 0;
+  while (keep_from + 1 < older_.size() && older_[keep_from + 1].version <= min_active) {
+    ++keep_from;
+  }
+  older_.erase(older_.begin(), older_.begin() + static_cast<ptrdiff_t>(keep_from));
 }
 
 void LocalStore::RegisterSnapshot(uint64_t version) {
@@ -500,9 +535,9 @@ ROTxn LocalStore::Flush() {
     ser.WriteFixed64(snapshot.version());
     ser.WriteVarint(live_keys_);
     for (const auto& [key, chain] : data_) {
-      if (!chain.empty() && chain.back().value.has_value()) {
-        ser.WriteString(key);
-        ser.WriteString(*chain.back().value);
+      if (const std::string* value = chain.Newest()) {
+        ser.WriteString(key.view());
+        ser.WriteString(*value);
       }
     }
     digest = checksum_.digest();
@@ -576,10 +611,8 @@ void LocalStore::LoadCheckpointBytes(std::string_view bytes) {
     check.Add(key, value);
     // Flush writes the keys in order, so the end hint makes each insert
     // O(1); a key out of order still lands in place. A repeated key keeps
-    // its last pair.
-    Chain& chain = data_.try_emplace(data_.end(), std::string(key))->second;
-    chain.clear();
-    chain.push_back(VersionedValue{version, std::string(value)});
+    // its last pair. No snapshot is open yet, so nothing older is kept.
+    NodeFor(data_.end(), key)->second.Commit(version, std::string(value), UINT64_MAX);
   }
   const uint64_t expected = de.ReadFixed64();
   if (check.digest() != expected) {

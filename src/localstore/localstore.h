@@ -141,22 +141,29 @@ class RWTxn {
 
  private:
   friend class LocalStore;
+  // Latest op index per key, for read-your-writes; Commit applies only
+  // these ops.
+  using WriteIndex = std::map<std::string, size_t, std::less<>>;
   struct Op {
-    std::string key;
+    // The op's key, held once, in write_index_. Map nodes are stable, and
+    // a rollback erases an entry only together with every op that names it
+    // (the key's first op in the batch created it).
+    WriteIndex::iterator entry;
     std::optional<std::string> value;  // nullopt = delete
+
+    const std::string& key() const { return entry->first; }
   };
 
   RWTxn(LocalStore* store, uint64_t base_version) : store_(store), base_version_(base_version) {}
   void Release();
-  // Updates write_index_/prev_index_ for the op just pushed onto ops_.
-  void RecordWrite();
+  // Stages `value` for `key` as a new op, updating write_index_ and
+  // prev_index_.
+  void Stage(std::string_view key, std::optional<std::string> value);
 
   LocalStore* store_ = nullptr;
   uint64_t base_version_ = 0;
   std::vector<Op> ops_;
-  // Latest op index per key, for read-your-writes; Commit applies only
-  // these ops.
-  std::map<std::string, size_t, std::less<>> write_index_;
+  WriteIndex write_index_;
   // prev_index_[i]: the write_index_ entry op i displaced for its key (or
   // nullopt if the key was fresh). Lets RollbackTo undo the index in
   // O(rolled-back ops) instead of rebuilding it from the whole batch — the
@@ -251,21 +258,77 @@ class LocalStore {
   friend class internal::SnapshotHandle;
 
   struct VersionedValue {
-    uint64_t version;
-    std::optional<std::string> value;
+    uint64_t version = 0;
+    std::optional<std::string> value;  // nullopt = tombstone
   };
-  using Chain = std::vector<VersionedValue>;
+
+  // A key's bytes. Up to kInlineBytes they live in the map node itself,
+  // which covers the stack's keys (DelosTable rows and index entries,
+  // znodes, engine state); longer keys take one heap allocation. Built in
+  // place in its node and never copied or moved.
+  class Key {
+   public:
+    static constexpr size_t kInlineBytes = 40;
+
+    explicit Key(std::string_view bytes);
+    ~Key();
+    Key(const Key&) = delete;
+    Key& operator=(const Key&) = delete;
+
+    std::string_view view() const {
+      return {size_ <= kInlineBytes ? inline_ : heap_, size_};
+    }
+
+   private:
+    size_t size_;
+    union {
+      char inline_[kInlineBytes];
+      char* heap_;
+    };
+  };
+
+  // Byte order over keys, transparent so that lookups take a string_view.
+  struct KeyLess {
+    using is_transparent = void;
+    bool operator()(const Key& a, const Key& b) const { return a.view() < b.view(); }
+    bool operator()(const Key& a, std::string_view b) const { return a.view() < b; }
+    bool operator()(std::string_view a, const Key& b) const { return a < b.view(); }
+  };
+
+  // A key's versions. The newest lives in the map node. Older versions go
+  // to `older_` (oldest first) only while a pinned snapshot may still read
+  // them, so a key with one live version holds no memory there. A fresh
+  // chain is empty and reads as absent at every version.
+  class Chain {
+   public:
+    // The value a snapshot at `version` reads, or null (absent or
+    // deleted). Valid until the chain's next commit.
+    const std::string* ValueAt(uint64_t version) const;
+    // The newest version's value, or null.
+    const std::string* Newest() const { return newest_.value ? &*newest_.value : nullptr; }
+    // True when no version can be read: the node can be erased.
+    bool empty() const { return older_.empty() && !newest_.value.has_value(); }
+    // Makes `value` the newest version, then drops every version that no
+    // snapshot at or after `min_active` can read.
+    void Commit(uint64_t version, std::optional<std::string> value, uint64_t min_active);
+
+   private:
+    VersionedValue newest_;
+    std::vector<VersionedValue> older_;
+  };
+
+  using Map = std::map<Key, Chain, KeyLess>;
 
   // Commits `ops` as one new version by applying, per key, the op that
   // `last_op` names (RWTxn::write_index_); the values are moved out.
-  void CommitBatch(std::vector<RWTxn::Op>& ops,
-                   const std::map<std::string, size_t, std::less<>>& last_op);
+  void CommitBatch(std::vector<RWTxn::Op>& ops, const RWTxn::WriteIndex& last_op);
+  // The node for `key`, inserted with an empty chain if absent. O(1) when
+  // `key` sorts between std::prev(hint) and hint.
+  Map::iterator NodeFor(Map::iterator hint, std::string_view key);
   void ReleaseWriter() { writer_active_.store(false, std::memory_order_release); }
   void RegisterSnapshot(uint64_t version);
   void UnregisterSnapshot(uint64_t version);
   uint64_t MinActiveSnapshotLocked() const;
-  static std::optional<std::string> ValueAt(const Chain& chain, uint64_t version);
-  static void CompactChainLocked(Chain& chain, uint64_t min_active);
   void LoadCheckpoint();
   void LoadCheckpointBytes(std::string_view bytes);
 
@@ -273,7 +336,10 @@ class LocalStore {
 
   Options options_;
   mutable std::shared_mutex data_mu_;
-  std::map<std::string, Chain, std::less<>> data_;
+  // One node per key with a chain: the key and its newest version are
+  // inline, so a key costs one allocation, plus one for a value longer than
+  // std::string's inline buffer.
+  Map data_;
   IncrementalChecksum checksum_;
   size_t live_keys_ = 0;  // chains whose newest version is a value
 

@@ -662,6 +662,133 @@ TEST(LocalStoreProperty, CoalescedCommitMatchesOpByOpModel) {
   std::filesystem::remove(path);
 }
 
+// Keys straddle the length a key is stored inline in its map node
+// (LocalStore::Key::kInlineBytes): empty, 1 byte, limit-1, limit, limit+1
+// and 200 bytes, where each fill key is a prefix of the next longer one and
+// others hold bytes 0x00 and 0xff. Seeded transactions (Put, Delete,
+// savepoint rollback) must match a model after every commit: every key and
+// a full scan, at the latest version and at each pinned snapshot,
+// KeyCount() and Checksum(). Then snapshots pinned on one key across four
+// commits make its chain spill past the inline version, and are released
+// out of order. The checkpoint written at the end must be the model's
+// bytes and reopen to the model.
+TEST(LocalStoreProperty, KeysAndChainsAcrossTheInlineLimits) {
+  constexpr size_t kInlineKeyBytes = 40;  // LocalStore::Key::kInlineBytes
+  const std::string path = testing::TempDir() + "/inline_limits.ckpt";
+  std::filesystem::remove(path);
+  auto store = LocalStore::Open({path});
+  Rng rng(21);
+
+  std::string fill;
+  for (size_t i = 0; i < 200; ++i) {
+    fill.push_back(static_cast<char>('a' + i % 26));
+  }
+  std::vector<std::string> keys = {""};
+  for (const size_t length : {size_t{1}, kInlineKeyBytes - 1, kInlineKeyBytes,
+                              kInlineKeyBytes + 1, size_t{200}}) {
+    keys.push_back(fill.substr(0, length));
+    keys.push_back(std::string(length, '\xff'));
+    keys.push_back(fill.substr(0, length - 1) + '\0');
+  }
+  const std::string at_limit = fill.substr(0, kInlineKeyBytes);
+  const std::string longest = fill;
+
+  State model;
+  struct Pinned {
+    ROTxn snapshot;
+    State state;
+  };
+  std::vector<Pinned> pinned;
+  const auto check_all = [&] {
+    EXPECT_EQ(store->KeyCount(), model.size());
+    EXPECT_EQ(store->Checksum(), ModelChecksum(model));
+    ExpectSnapshotEquals(store->Snapshot(), model, keys);
+    for (const Pinned& pin : pinned) {
+      ExpectSnapshotEquals(pin.snapshot, pin.state, keys);
+    }
+  };
+  // Values straddle std::string's inline buffer as well.
+  const auto random_value = [&] {
+    return rng.String(static_cast<size_t>(rng.Bernoulli(0.1) ? 200 : rng.Uniform(0, 24)));
+  };
+
+  for (int round = 0; round < 300; ++round) {
+    RWTxn txn = store->BeginRW();
+    State staged = model;
+    std::optional<std::pair<Savepoint, State>> savepoint;
+    const int ops = static_cast<int>(rng.Uniform(1, 8));
+    for (int i = 0; i < ops; ++i) {
+      const int64_t last_key = static_cast<int64_t>(keys.size()) - 1;
+      const std::string& key = keys[static_cast<size_t>(rng.Uniform(0, last_key))];
+      const int64_t action = rng.Uniform(0, 9);
+      if (action == 0) {
+        savepoint.emplace(txn.MakeSavepoint(), staged);
+      } else if (action == 1 && savepoint.has_value()) {
+        txn.RollbackTo(savepoint->first);
+        staged = std::move(savepoint->second);
+        savepoint.reset();
+      } else if (action <= 4) {
+        txn.Delete(key);
+        staged.erase(key);
+      } else {
+        const std::string value = random_value();
+        txn.Put(key, value);
+        staged[key] = value;
+      }
+      auto it = staged.find(key);
+      EXPECT_EQ(txn.Get(key),
+                it == staged.end() ? std::nullopt : std::make_optional(it->second));
+    }
+    txn.Commit();
+    model = std::move(staged);
+    check_all();
+    if (rng.Bernoulli(0.2) && pinned.size() < 3) {
+      pinned.push_back({store->Snapshot(), model});
+    }
+    if (!pinned.empty() && rng.Bernoulli(0.2)) {
+      pinned.erase(pinned.begin() + rng.Uniform(0, static_cast<int64_t>(pinned.size()) - 1));
+    }
+  }
+
+  for (const std::string& hot : {at_limit, longest}) {
+    pinned.clear();
+    const auto write_hot = [&](std::optional<std::string> value) {
+      RWTxn txn = store->BeginRW();
+      if (value.has_value()) {
+        txn.Put(hot, *value);
+        model[hot] = *value;
+      } else {
+        txn.Delete(hot);
+        model.erase(hot);
+      }
+      txn.Commit();
+      check_all();
+    };
+    // Four snapshots, each pinned before a commit to the hot key; one
+    // commit deletes it, so the chain holds a tombstone too.
+    for (int i = 0; i < 4; ++i) {
+      pinned.push_back({store->Snapshot(), model});
+      write_hot(i == 2 ? std::nullopt : std::make_optional(random_value()));
+    }
+    // Released second, fourth, first, third, with a commit after each.
+    for (const size_t index : {1, 2, 0, 0}) {
+      pinned.erase(pinned.begin() + static_cast<ptrdiff_t>(index));
+      write_hot(random_value());
+    }
+  }
+
+  pinned.clear();
+  const uint64_t flushed_version = store->Flush().version();
+  EXPECT_EQ(ReadFile(path), ExpectedCheckpoint(flushed_version, model));
+  store.reset();
+  auto reopened = LocalStore::Open({path});
+  EXPECT_EQ(reopened->committed_version(), flushed_version);
+  EXPECT_EQ(reopened->KeyCount(), model.size());
+  EXPECT_EQ(reopened->Checksum(), ModelChecksum(model));
+  ExpectSnapshotEquals(reopened->Snapshot(), model, keys);
+  std::filesystem::remove(path);
+}
+
 // --- checkpoint load and flush ---
 
 // A checkpoint file holding `pairs` in the given order, whatever that order
