@@ -147,7 +147,8 @@ struct BacklogStamps {
   // A distinct trace id on every record, so each apply records a
   // "base.apply" span (the worst case for a span observer).
   bool trace_ids = false;
-  // A digest beacon header on every k-th record (0 = none).
+  // A digest beacon header, with the commit barrier the DigestEngine marks
+  // its beacons with, on every k-th record (0 = none).
   uint64_t beacon_every = 0;
 };
 
@@ -225,6 +226,7 @@ inline void FillBacklog(const std::shared_ptr<ISharedLog>& log, LogPos records,
     }
     if (stamps.beacon_every > 0 && (i + 1) % stamps.beacon_every == 0) {
       entry.SetHeader("digest", EngineHeader{kMsgTypeApp, beacon_blob});
+      MarkCommitBarrier(&entry);
     }
     inflight.push_back(log->Append(entry.Serialize()));
     if (inflight.size() - next_wait >= kAppendWindow) {

@@ -453,8 +453,14 @@ void BaseEngine::ApplyThreadMain() {
       if (records.empty()) {
         break;  // Target beyond the committed tail; more work will arrive.
       }
-      if (!ApplyBatch(records)) {
-        return;
+      // A commit barrier ends a group commit early; the records after it
+      // open the next one.
+      for (std::span<const LogRecord> rest(records); !rest.empty();) {
+        const size_t applied = ApplyBatch(rest);
+        if (applied == 0) {
+          return;
+        }
+        rest = rest.subspan(applied);
       }
     }
   }
@@ -465,11 +471,12 @@ void BaseEngine::ApplyThreadMain() {
 // old pipeline — BeginRW, cursor Put, Commit, applied-position publish, and a
 // pending_mu_ acquisition — are paid once per batch. Each record still runs
 // inside its own savepoint so a DeterministicError rolls back exactly that
-// record (§3.4). The cursor committed with the batch equals the last record
-// applied in it; if anything non-deterministic happens mid-batch the
-// transaction is aborted and the store stays at the previous batch
+// record (§3.4). A record after the first that carries the commit barrier
+// ends the batch before it. The cursor committed with the batch equals the
+// last record applied in it; if anything non-deterministic happens mid-batch
+// the transaction is aborted and the store stays at the previous batch
 // boundary, so replay after a reboot is exact.
-bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
+size_t BaseEngine::ApplyBatch(std::span<const LogRecord> records) {
   const int64_t start_micros = options_.clock->NowMicros();
 
   // Per-record outcome, carried across the commit barrier to postApply and
@@ -496,7 +503,7 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
   for (const LogRecord& record : records) {
     if (shutdown_.load()) {
       txn.Abort();
-      return false;
+      return 0;
     }
     Outcome out;
     out.pos = record.pos;
@@ -505,6 +512,9 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
       // header without copying; the owning entry for the upcall chain is
       // materialized from the views in a single sized pass.
       const LogEntryView view = LogEntryView::Parse(record.payload);
+      if (!outcomes.empty() && view.HasHeader(kCommitBarrierHeaderName)) {
+        break;
+      }
       if (auto base = view.GetHeader(kBaseHeaderName); base.has_value()) {
         const auto [instance, seq] = DecodeBaseHeader(base->blob);
         if (instance == instance_id_) {
@@ -515,7 +525,7 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
     } catch (const SerdeError& e) {
       txn.Abort();
       Fatal(std::string("corrupt log entry: ") + e.what());
-      return false;
+      return 0;
     }
 
     // Traced records get a per-replica "base.apply" span plus a flight-
@@ -535,7 +545,7 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
       } catch (const std::exception& e) {
         txn.Abort();
         Fatal(std::string("non-deterministic exception in apply: ") + e.what());
-        return false;
+        return 0;
       }
       frame.End();
       if (frame.traced()) {
@@ -567,7 +577,7 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
         } catch (const std::exception& e) {
           txn.Abort();
           Fatal(std::string("non-deterministic exception in mutated apply: ") + e.what());
-          return false;
+          return 0;
         }
       }
       mutation_prev_entry_ = out.entry;
@@ -581,7 +591,7 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
   // One cursor update + one commit for the whole batch. The cursor must be
   // the last position applied in this transaction — that is the crash-
   // consistency invariant replay depends on.
-  const LogPos batch_last = records.back().pos;
+  const LogPos batch_last = outcomes.back().pos;
   txn.Put(cursor_key_, EncodePos(batch_last));
   {
     static const std::string kCommitTxLabel = "base.commitTX";
@@ -591,13 +601,13 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
       txn.Commit();
     } catch (const std::exception& e) {
       Fatal(std::string("LocalStore commit failed: ") + e.what());
-      return false;
+      return 0;
     }
     if (commit_latency_hist_ != nullptr) {
       commit_latency_hist_->Record(options_.clock->NowMicros() - commit_start);
     }
   }
-  probe_->Record(FlightEventKind::kCommit, "", 0, records.front().pos, batch_last);
+  probe_->Record(FlightEventKind::kCommit, "", 0, outcomes.front().pos, batch_last);
 
   // Crash window between commit and publish: the batch (with its cursor) is
   // durable in the store, but nothing downstream of the commit has happened
@@ -607,7 +617,7 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
   // outcome for a crash after commit).
   if (options_.post_commit_crash_hook != nullptr && options_.post_commit_crash_hook(batch_last)) {
     probe_->Record(FlightEventKind::kCrash, "post-commit crash hook", 0, batch_last);
-    return false;
+    return 0;
   }
 
   // postApply runs only when the upcall's apply committed: a layer that
@@ -628,11 +638,11 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
 
   // Progress counters are bumped before applied_pos_ is published so that
   // anyone woken by a Sync/propose observes counts covering this batch.
-  records_applied_.fetch_add(records.size(), std::memory_order_relaxed);
+  records_applied_.fetch_add(outcomes.size(), std::memory_order_relaxed);
   batches_committed_.fetch_add(1, std::memory_order_relaxed);
   if (batch_size_hist_ != nullptr) {
-    batch_size_hist_->Record(static_cast<int64_t>(records.size()));
-    records_counter_->Increment(records.size());
+    batch_size_hist_->Record(static_cast<int64_t>(outcomes.size()));
+    records_counter_->Increment(outcomes.size());
     batches_counter_->Increment();
   }
 
@@ -694,7 +704,7 @@ bool BaseEngine::ApplyBatch(const std::vector<LogRecord>& records) {
   if (probe_->profiler != nullptr) {
     probe_->profiler->RecordBusy(busy);
   }
-  return true;
+  return outcomes.size();
 }
 
 // Pipelined syncs (§3.2: syncs queue behind a single outstanding tail

@@ -16,6 +16,8 @@
 //    group-commit batches: one LocalStore transaction per ReadRange batch
 //    (up to play_batch_size records), each record applied inside its own
 //    savepoint-nested sub-transaction, then a single cursor update + commit.
+//    A record marked with the commit barrier (entry.h) cuts the batch: the
+//    records before it commit first, and it opens the next transaction.
 //    The batch then ends in a fixed order: postApply for every record, one
 //    applied-position publish, and one completion pass. The pass settles the
 //    proposals that layers above complete from postApply
@@ -47,6 +49,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -220,11 +223,12 @@ class BaseEngine : public IEngine, public IHealthCheckable {
   bool PushPrefetched(PrefetchedBatch batch);
   // Blocking pop. Returns false on shutdown with an empty queue.
   bool PopPrefetched(PrefetchedBatch* batch);
-  // Applies one ReadRange batch in a single LocalStore transaction (group
-  // commit). Returns false when the apply thread must exit (fatal error or
-  // shutdown); the transaction is aborted and the cursor stays at the last
-  // committed batch boundary.
-  bool ApplyBatch(const std::vector<LogRecord>& records);
+  // Applies a prefix of `records` in a single LocalStore transaction (group
+  // commit): all of them, or those before the first commit barrier after
+  // the first record. Returns how many records it committed, or 0 when the
+  // apply thread must exit (fatal error or shutdown); the transaction is
+  // then aborted and the cursor stays at the last committed batch boundary.
+  size_t ApplyBatch(std::span<const LogRecord> records);
   void RequestPlayTo(LogPos pos);
   // Removes `seq` from the pending map and fails its promise (no-op if the
   // proposal already completed).

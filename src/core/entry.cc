@@ -131,6 +131,10 @@ void SetClientIds(LogEntry* entry, const std::vector<uint64_t>& ids) {
   entry->SetHeader(kClientHeaderName, EngineHeader{kMsgTypeApp, ser.Release()});
 }
 
+void MarkCommitBarrier(LogEntry* entry) {
+  entry->SetHeader(kCommitBarrierHeaderName, EngineHeader{});
+}
+
 void IdList::push_back(uint64_t id) {
   if (size_ < kInline) {
     inline_[size_++] = id;

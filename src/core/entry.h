@@ -115,6 +115,15 @@ inline constexpr char kClientHeaderName[] = "client";
 
 void SetClientIds(LogEntry* entry, const std::vector<uint64_t>& ids);
 
+// Commit barrier: a record carrying this reserved header opens a new group
+// commit. The BaseEngine commits the records before it first, so when the
+// record applies, its transaction holds nothing staged and the store's
+// committed state is exactly the prefix before it. Any layer may mark its
+// proposals; the header carries no fields and every layer passes it through.
+inline constexpr char kCommitBarrierHeaderName[] = "barrier";
+
+void MarkCommitBarrier(LogEntry* entry);
+
 // The ids piggybacked under one reserved header (trace or client). Up to
 // kInline ids live in place, so the common single-id entry is parsed with no
 // allocation; a longer list (a batch entry carries one id per constituent,

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "src/common/checksum.h"
+#include "src/common/errors.h"
 #include "src/common/json.h"
 #include "src/common/serde.h"
 #include "src/core/entry.h"
@@ -19,10 +20,7 @@ constexpr char kEngineName[] = "digest";
 // The group-commit cursor is the one store key whose value is the batch
 // boundary itself — identical log prefixes with different batch shapes
 // legitimately disagree on it, so it never participates in the digest.
-const std::vector<std::string>& ExcludedKeys() {
-  static const std::vector<std::string> kKeys = {"e/base/cursor"};
-  return kKeys;
-}
+constexpr char kCursorKey[] = "e/base/cursor";
 
 DivergenceOptions MakeTrackerOptions(const DigestEngine::Options& options) {
   DivergenceOptions tracker_options;
@@ -56,7 +54,6 @@ DigestEngine::DigestEngine(Options options, IEngine* downstream, LocalStore* sto
     : StackableEngine(kEngineName, downstream, store,
                       StackableEngineOptions{options.start_enabled}),
       options_(std::move(options)),
-      clock_(options_.clock != nullptr ? options_.clock : RealClock::Instance()),
       tracker_(MakeTrackerOptions(options_)) {
   // Recover the sample table: after a crash the store (checkpoint + replay)
   // already holds the deterministic table, so outgoing beacons resume with
@@ -69,34 +66,10 @@ DigestEngine::DigestEngine(Options options, IEngine* downstream, LocalStore* sto
       // An unparseable sample only degrades beacon coverage; never fatal.
     }
   }
-  if (options_.beacon_interval_micros > 0) {
-    heartbeat_thread_ = std::thread([this] { HeartbeatLoopMain(); });
-  }
 }
 
 void DigestEngine::OnProbeAttached(const Probe& probe) {
   tracker_.AttachSinks(probe.metrics, probe.recorder);
-}
-
-DigestEngine::~DigestEngine() {
-  shutdown_.store(true, std::memory_order_release);
-  if (heartbeat_thread_.joinable()) {
-    heartbeat_thread_.join();
-  }
-}
-
-void DigestEngine::HeartbeatLoopMain() {
-  int64_t last = 0;
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    const int64_t now = RealClock::Instance()->NowMicros();
-    if (now - last >= options_.beacon_interval_micros) {
-      last = now;
-      tracker_.OnBeaconAppended();
-      ProposeControl(kMsgTypeBeacon, BuildBeaconBlob());  // fire and forget
-    }
-    RealClock::Instance()->SleepMicros(
-        std::min<int64_t>(options_.beacon_interval_micros / 4 + 1, 5000));
-  }
 }
 
 std::string DigestEngine::BuildBeaconBlob() {
@@ -121,7 +94,9 @@ std::string DigestEngine::BuildBeaconBlob() {
 
 bool DigestEngine::ProposeBeaconNow(int64_t timeout_micros) {
   tracker_.OnBeaconAppended();
-  auto applied = ProposeControl(kMsgTypeBeacon, BuildBeaconBlob());
+  LogEntry beacon = MakeControlEntry(name(), kMsgTypeBeacon, BuildBeaconBlob());
+  MarkCommitBarrier(&beacon);
+  auto applied = downstream()->Propose(std::move(beacon));
   try {
     if (timeout_micros <= 0) {
       applied.Get();
@@ -142,6 +117,7 @@ void DigestEngine::OnPropose(LogEntry* entry) {
     return;
   }
   entry->SetHeader(name(), EngineHeader{kMsgTypeApp, BuildBeaconBlob()});
+  MarkCommitBarrier(entry);
   tracker_.OnBeaconAppended();
 }
 
@@ -165,12 +141,18 @@ std::any DigestEngine::ApplyControl(RWTxn& txn, const EngineHeader& header, cons
 void DigestEngine::ProcessBeacon(RWTxn& txn, std::string_view blob, const LogEntry& entry,
                                  LogPos pos) {
   // The digest every replica agrees to compute at position `pos`: the state
-  // of the applied prefix [1, pos-1]. This engine sits at the bottom of the
-  // middle stack, so nothing of `pos` itself has been staged yet; earlier
-  // records of the same group-commit batch ARE staged, and EffectiveDigest
-  // folds them in — replicas whose batch boundary already committed those
-  // records get the identical value from the committed checksum instead.
-  const uint64_t local_digest = txn.EffectiveDigest(ExcludedKeys());
+  // of the applied prefix [1, pos-1]. The beacon carries the commit barrier,
+  // so it opens its group commit, and this engine sits at the bottom of the
+  // middle stack, so nothing of `pos` itself has been staged yet: the
+  // committed checksum is that state, minus the cursor.
+  if (txn.op_count() != 0) {
+    throw NonDeterministicError("digest beacon at pos " + std::to_string(pos) +
+                                " applied after staged writes; its commit barrier was lost");
+  }
+  uint64_t local_digest = store()->Checksum();
+  if (const auto cursor = txn.Get(kCursorKey)) {
+    local_digest ^= IncrementalChecksum::PairHash(kCursorKey, *cursor);
+  }
 
   std::string proposer;
   std::vector<std::pair<LogPos, uint64_t>> remote_samples;
@@ -192,10 +174,9 @@ void DigestEngine::ProcessBeacon(RWTxn& txn, std::string_view blob, const LogEnt
   }
   tracker_.OnBeaconChecked(pos, proposer);
 
-  // This replica's table, read through the transaction so samples staged by
-  // earlier beacons of the same batch participate. Keys are zero-padded, so
-  // the merged scan already yields positions ascending — kept as a sorted
-  // vector (no per-beacon map churn; this path runs on every beacon).
+  // This replica's table. Keys are zero-padded, so the scan already yields
+  // positions ascending — kept as a sorted vector (no per-beacon map churn;
+  // this path runs on every beacon).
   const std::string prefix = space().Key("sample/");
   std::string scan_end = prefix;
   scan_end.back() = static_cast<char>(scan_end.back() + 1);
@@ -300,11 +281,7 @@ HealthReport DigestEngine::HealthCheck() const {
 std::string DigestEngine::Render() const {
   std::ostringstream out;
   out << "digest beacons on " << options_.server_id << "\n";
-  out << "  cadence: every " << options_.beacon_every_n_proposals << " proposals";
-  if (options_.beacon_interval_micros > 0) {
-    out << ", heartbeat " << options_.beacon_interval_micros << "us";
-  }
-  out << "\n";
+  out << "  cadence: every " << options_.beacon_every_n_proposals << " proposals\n";
   out << "  beacons appended: " << tracker_.beacons_appended() << "\n";
   out << "  beacons checked: " << tracker_.beacons_checked() << "\n";
   out << "  mismatches: " << tracker_.mismatches() << "\n";

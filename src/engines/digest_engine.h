@@ -8,16 +8,19 @@
 // itself (the paper's universal ordering device):
 //
 //  * Every Nth outgoing proposal is stamped with a *digest beacon* header
-//    (piggybacking on batching exactly like the trace header), and an
-//    optional heartbeat proposes a standalone beacon when the application is
-//    idle. The beacon carries the proposing replica's recent digest samples:
-//    (log position, LocalStore state digest as of that position) pairs, plus
-//    its apply position and a hash over the sample table.
-//  * Beacons are totally ordered by the log, so every replica applies each
-//    beacon at the same position Q and computes the SAME deterministic
-//    quantity there: the state digest of the log prefix [1, Q-1], via
-//    RWTxn::EffectiveDigest (committed checksum patched with the staged
-//    batch overlay, minus the batch-boundary-dependent group-commit cursor).
+//    (piggybacking on batching exactly like the trace header); drivers that
+//    want a check while the application is idle call ProposeBeaconNow. The
+//    beacon carries the proposing replica's recent digest samples: (log
+//    position, LocalStore state digest as of that position) pairs, plus its
+//    apply position and a hash over the sample table.
+//  * Every beacon also carries the commit barrier (entry.h), so the
+//    BaseEngine starts a new group commit at it. Beacons are totally ordered
+//    by the log, so every replica applies each beacon at the same position Q
+//    and computes the SAME deterministic quantity there: the state digest of
+//    the log prefix [1, Q-1]. With nothing of the batch staged yet, that is
+//    the committed checksum minus the pair of the batch-boundary-dependent
+//    group-commit cursor, an O(1) read. A beacon applied after staged writes
+//    means the barrier was lost: a bug, and fatal.
 //    The result is written to a small per-replica sample table in the store
 //    (bounded window, pruned deterministically) — replicas that applied the
 //    same prefix have byte-identical tables.
@@ -32,7 +35,7 @@
 // False-positive freedom: every store write during apply is a deterministic
 // function of the log prefix (the repo-wide invariant the simulator's
 // reference replay already enforces), except the group-commit cursor — which
-// EffectiveDigest excludes. Crash recovery (checkpoint + replay), trim, and
+// the beacon digest excludes. Crash recovery (checkpoint + replay), trim, and
 // loglet reconfiguration all preserve "state = f(prefix)", so beacons never
 // convict a healthy replica; digest_test and sim_digest_test hold this down.
 #pragma once
@@ -42,10 +45,8 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "src/common/clock.h"
 #include "src/common/divergence.h"
 #include "src/core/stackable_engine.h"
 
@@ -58,20 +59,14 @@ class DigestEngine : public StackableEngine {
     // Stamp a beacon header on every Nth proposal descending through this
     // layer (0 disables count-based beacons).
     uint64_t beacon_every_n_proposals = 64;
-    // When >0, a background thread proposes a standalone beacon control
-    // entry every interval, so idle clusters still cross-check (off by
-    // default; the simulator keeps it off for determinism).
-    int64_t beacon_interval_micros = 0;
-    Clock* clock = nullptr;  // defaults to RealClock
     bool start_enabled = true;
   };
 
   DigestEngine(Options options, IEngine* downstream, LocalStore* store);
-  ~DigestEngine() override;
 
   // Proposes a standalone beacon carrying this replica's current sample
-  // table and blocks until it is applied locally. Deterministic drivers
-  // (sim, tests, delosctl demo) use this instead of the heartbeat thread.
+  // table and blocks until it is applied locally (sim, tests, delosctl
+  // demo).
   // timeout_micros > 0 bounds the wait (a fault-sim replay can wedge on a
   // scheduled crash before the beacon applies); returns false on timeout or
   // propose failure, true once the beacon applied locally.
@@ -112,10 +107,8 @@ class DigestEngine : public StackableEngine {
   // against the store table, records the verdicts, and writes + prunes this
   // replica's sample. Parks the new sample for the post-apply soft update.
   void ProcessBeacon(RWTxn& txn, std::string_view blob, const LogEntry& entry, LogPos pos);
-  void HeartbeatLoopMain();
 
   Options options_;
-  Clock* clock_;
   // Exports into the probe's metrics and records the kDivergence event and
   // the conviction flight excerpt into the probe's recorder.
   DivergenceTracker tracker_;
@@ -132,9 +125,6 @@ class DigestEngine : public StackableEngine {
 
   // Apply->postApply scratch: the sample this position added.
   ApplyCarry<std::pair<LogPos, uint64_t>> sample_carry_;
-
-  std::atomic<bool> shutdown_{false};
-  std::thread heartbeat_thread_;
 };
 
 }  // namespace delos

@@ -37,14 +37,13 @@ void BuildStack(ClusterServer& server, const StackConfig& config) {
   add_observer("base");
 
   if (config.digest) {
-    // Bottom of the middle stack: applying a record, the digest runs before
-    // any other layer stages that record's writes, so the beacon digest is
-    // exactly "state after the prefix" on every replica.
+    // Bottom of the middle stack: a beacon opens its own group commit, and
+    // the digest runs before any other layer stages that record's writes, so
+    // the committed checksum is exactly "state after the prefix" on every
+    // replica.
     DigestEngine::Options options;
     options.server_id = server.id();
     options.beacon_every_n_proposals = config.digest_beacon_every;
-    options.beacon_interval_micros = config.digest_beacon_interval_micros;
-    options.clock = config.clock;
     options.start_enabled = config.digest_start_enabled;
     server.AddEngine<DigestEngine>(options);
     add_observer("digest");

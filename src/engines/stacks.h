@@ -36,7 +36,9 @@ struct StackConfig {
   bool time = false;
   bool lease = false;
   // Digest-beacon divergence detection (DigestEngine, bottom of the middle
-  // stack so its apply-side digest sees the prefix before this record).
+  // stack so its apply-side digest sees the prefix before this record; each
+  // beacon opens its own group commit, so that prefix is the committed
+  // state).
   bool digest = true;
   // Layer an ObserverEngine above every engine (incl. the BaseEngine).
   bool observers = false;
@@ -49,10 +51,9 @@ struct StackConfig {
   int64_t eject_after_micros = 0;
   // ViewTracking heartbeat interval (0 = only piggyback on app proposals).
   int64_t view_heartbeat_micros = 0;
-  // Digest beacon cadence: header every N proposals (0 = count-based off)
-  // and optional idle heartbeat (0 = off; sims keep it off for determinism).
+  // Digest beacon cadence: header every N proposals (0 = off). Idle
+  // clusters cross-check only when a driver calls ProposeBeaconNow.
   uint64_t digest_beacon_every = 64;
-  int64_t digest_beacon_interval_micros = 0;
   // Deploy the digest layer disabled (phase one of two-phase insertion): it
   // sits in the stack and forwards entries but checks no beacons until
   // EnableViaLog. The plane-overhead bench uses this to price enabling the

@@ -1,5 +1,7 @@
 #include "src/engines/time_engine.h"
 
+#include <chrono>
+
 #include "src/common/serde.h"
 
 namespace delos {
@@ -57,12 +59,40 @@ TimeEngine::TimeEngine(Options options, IEngine* downstream, LocalStore* store)
       clock_(options_.clock != nullptr ? options_.clock : RealClock::Instance()) {}
 
 TimeEngine::~TimeEngine() {
-  shutdown_.store(true, std::memory_order_release);
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  for (std::thread& thread : countdown_threads_) {
-    if (thread.joinable()) {
-      thread.join();
+  {
+    std::lock_guard<std::mutex> lock(countdown_mu_);
+    shutdown_ = true;
+  }
+  countdown_cv_.notify_all();
+  if (countdown_thread_.joinable()) {
+    countdown_thread_.join();
+  }
+}
+
+void TimeEngine::CountdownMain() {
+  std::unique_lock<std::mutex> lock(countdown_mu_);
+  while (!shutdown_) {
+    if (deadlines_.empty()) {
+      countdown_cv_.wait(lock);
+      continue;
     }
+    // Polling (rather than sleeping until the earliest deadline) keeps
+    // countdowns responsive to simulated clocks.
+    std::vector<std::string> expired;
+    const int64_t now = clock_->NowMicros();
+    while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+      expired.push_back(std::move(deadlines_.begin()->second));
+      deadlines_.erase(deadlines_.begin());
+    }
+    if (expired.empty()) {
+      countdown_cv_.wait_for(lock, std::chrono::microseconds(500));
+      continue;
+    }
+    lock.unlock();
+    for (const std::string& id : expired) {
+      ProposeControl(kMsgTypeElapsed, EncodeElapsed(id, options_.server_id));
+    }
+    lock.lock();
   }
 }
 
@@ -149,21 +179,16 @@ void TimeEngine::PostApplyControl(const EngineHeader& header, const LogEntry& en
   const TimerCarry carry = timer_carry_.Take(pos).value_or(TimerCarry{});
   if (!carry.created_id.empty()) {
     // Start the local countdown; when it expires on this server's clock,
-    // report ELAPSED through the log. Polling (rather than sleeping the full
-    // duration) keeps countdowns responsive to simulated clocks and engine
-    // shutdown.
-    const std::string id = carry.created_id;
+    // report ELAPSED through the log.
     const int64_t deadline = clock_->NowMicros() + carry.created_duration;
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    countdown_threads_.emplace_back([this, id, deadline] {
-      while (!shutdown_.load(std::memory_order_acquire)) {
-        if (clock_->NowMicros() >= deadline) {
-          ProposeControl(kMsgTypeElapsed, EncodeElapsed(id, options_.server_id));
-          return;
-        }
-        RealClock::Instance()->SleepMicros(500);
+    {
+      std::lock_guard<std::mutex> lock(countdown_mu_);
+      deadlines_.emplace(deadline, carry.created_id);
+      if (!countdown_thread_.joinable()) {
+        countdown_thread_ = std::thread([this] { CountdownMain(); });
       }
-    });
+    }
+    countdown_cv_.notify_one();
   }
   if (!carry.fired_id.empty()) {
     std::vector<FireCallback> callbacks;

@@ -12,7 +12,7 @@
 // TimedTrimmer below).
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -63,14 +63,18 @@ class TimeEngine : public StackableEngine {
 
   std::any ApplyControlImpl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,
                             LogPos pos);
+  // Proposes ELAPSED for each timer whose deadline passed on clock_.
+  void CountdownMain();
 
   Options options_;
   Clock* clock_;
-  // Per-timer countdown threads: each polls the (possibly simulated) clock
-  // and proposes ELAPSED when the deadline passes. Joined on destruction.
-  std::atomic<bool> shutdown_{false};
-  std::mutex threads_mu_;
-  std::vector<std::thread> countdown_threads_;
+  // Local countdowns: timer id by deadline on clock_, run by one thread that
+  // starts with the first timer and is joined on destruction.
+  std::mutex countdown_mu_;
+  std::condition_variable countdown_cv_;
+  std::multimap<int64_t, std::string> deadlines_;
+  bool shutdown_ = false;
+  std::thread countdown_thread_;
 
   std::mutex callbacks_mu_;
   std::vector<FireCallback> callbacks_;

@@ -100,11 +100,6 @@ RWTxn& RWTxn::operator=(RWTxn&& other) noexcept {
     ops_ = std::move(other.ops_);
     write_index_ = std::move(other.write_index_);
     prev_index_ = std::move(other.prev_index_);
-    digest_cache_ = other.digest_cache_;
-    digest_cached_ops_ = other.digest_cached_ops_;
-    digest_cache_valid_ = other.digest_cache_valid_;
-    digest_exclude_ = std::move(other.digest_exclude_);
-    digest_op_hash_ = std::move(other.digest_op_hash_);
     other.store_ = nullptr;
   }
   return *this;
@@ -210,73 +205,6 @@ std::vector<std::pair<std::string, std::string>> RWTxn::ScanPrefix(std::string_v
   return out;
 }
 
-uint64_t RWTxn::EffectiveDigest(const std::vector<std::string>& exclude_keys) const {
-  std::shared_lock<std::shared_mutex> lock(store_->data_mu_);
-  // Incremental: the cache holds the digest of "committed state + ops_[0,
-  // digest_cached_ops_) − exclude_keys", so a call only folds in the ops
-  // staged since the previous one. The group-commit pipeline can put
-  // thousands of records into one transaction with digest beacons every N
-  // records — recomputing the whole overlay per beacon made the plane's
-  // replay cost O(beacons × overlay); this walk is O(total ops) across the
-  // batch. The single-writer invariant freezes committed state (and hence
-  // the seed checksum and every committed chain value) for the
-  // transaction's lifetime, so the cached prefix digest stays valid until a
-  // rollback pops staged ops below the cache point (see RollbackTo).
-  const auto committed_value = [&](std::string_view key) -> const std::string* {
-    auto chain_it = store_->data_.find(key);
-    return chain_it == store_->data_.end() ? nullptr : chain_it->second.ValueAt(base_version_);
-  };
-  const auto excluded = [&](std::string_view key) {
-    return std::find(exclude_keys.begin(), exclude_keys.end(), key) != exclude_keys.end();
-  };
-  if (!digest_cache_valid_ || digest_cached_ops_ > ops_.size() ||
-      digest_exclude_ != exclude_keys) {
-    // (Re)seed from the committed checksum with the excluded pairs removed;
-    // their staged ops are skipped in the walk, so they contribute nothing.
-    digest_cache_ = store_->checksum_.digest();
-    for (const std::string& key : exclude_keys) {
-      if (const std::string* value = committed_value(key)) {
-        digest_cache_ ^= IncrementalChecksum::PairHash(key, *value);
-      }
-    }
-    digest_cached_ops_ = 0;
-    digest_exclude_ = exclude_keys;
-    digest_cache_valid_ = true;
-  }
-  // Fold each new op: XOR out the pair it replaced (the previous staged op
-  // on the key via prev_index_, else the committed value — looked up only on
-  // a key's first touch) and XOR in the staged value. Per key the
-  // intermediate terms telescope away, leaving exactly "committed out,
-  // latest staged in". Each staged pair is hashed once and memoized in
-  // digest_op_hash_: when a later op displaces it, the XOR-out reuses the
-  // memo instead of rehashing the value bytes. The displaced index is always
-  // < i, so its memo was filled earlier in this walk or a previous one (an
-  // excluded key's ops are all skipped together, so a skipped memo is never
-  // read).
-  if (digest_op_hash_.size() < ops_.size()) {
-    digest_op_hash_.resize(ops_.size(), 0);
-  }
-  for (size_t i = digest_cached_ops_; i < ops_.size(); ++i) {
-    const Op& op = ops_[i];
-    if (excluded(op.key())) {
-      continue;
-    }
-    if (prev_index_[i].has_value()) {
-      if (ops_[*prev_index_[i]].value.has_value()) {
-        digest_cache_ ^= digest_op_hash_[*prev_index_[i]];
-      }
-    } else if (const std::string* old_value = committed_value(op.key())) {
-      digest_cache_ ^= IncrementalChecksum::PairHash(op.key(), *old_value);
-    }
-    if (op.value.has_value()) {
-      digest_op_hash_[i] = IncrementalChecksum::PairHash(op.key(), *op.value);
-      digest_cache_ ^= digest_op_hash_[i];
-    }
-  }
-  digest_cached_ops_ = ops_.size();
-  return digest_cache_;
-}
-
 void RWTxn::RollbackTo(const Savepoint& savepoint) {
   if (savepoint.op_count > ops_.size()) {
     throw StoreError("rollback to a savepoint from a different transaction");
@@ -295,11 +223,6 @@ void RWTxn::RollbackTo(const Savepoint& savepoint) {
   }
   ops_.resize(savepoint.op_count);
   prev_index_.resize(savepoint.op_count);
-  // Ops already folded into the digest cache were discarded: drop the cache
-  // (a rollback that only pops ops above the cache point leaves it valid).
-  if (digest_cached_ops_ > ops_.size()) {
-    digest_cache_valid_ = false;
-  }
 }
 
 void RWTxn::Commit() {

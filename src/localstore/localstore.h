@@ -125,20 +125,6 @@ class RWTxn {
 
   size_t op_count() const { return ops_.size(); }
 
-  // State digest of "committed state + this transaction's staged writes",
-  // minus the pairs for `exclude_keys`. This is the digest the store WOULD
-  // report if the batch committed right now — the DigestEngine uses it to
-  // compare replica states at a mid-batch log position without forcing a
-  // commit (group commit means batch boundaries, and therefore the committed
-  // checksum, differ across replicas at the same position). Excluded keys
-  // (the group-commit cursor, whose value is the batch-boundary itself) are
-  // removed from the digest entirely, staged or committed. Amortized O(ops
-  // staged since the previous call with the same exclusions) — a per-txn
-  // cache folds new ops incrementally, so periodic digest beacons inside one
-  // large group-commit batch cost O(total ops), not O(beacons × overlay).
-  // Does not perturb the transaction.
-  uint64_t EffectiveDigest(const std::vector<std::string>& exclude_keys) const;
-
  private:
   friend class LocalStore;
   // Latest op index per key, for read-your-writes; Commit applies only
@@ -150,8 +136,6 @@ class RWTxn {
     // (the key's first op in the batch created it).
     WriteIndex::iterator entry;
     std::optional<std::string> value;  // nullopt = delete
-
-    const std::string& key() const { return entry->first; }
   };
 
   RWTxn(LocalStore* store, uint64_t base_version) : store_(store), base_version_(base_version) {}
@@ -170,20 +154,6 @@ class RWTxn {
   // group-commit apply pipeline accumulates many entries' ops in one
   // transaction, so a mid-batch rollback must not scan the entire batch.
   std::vector<std::optional<size_t>> prev_index_;
-  // EffectiveDigest incremental cache: digest of committed state plus
-  // ops_[0, digest_cached_ops_) minus digest_exclude_. Invalidated when a
-  // rollback pops ops below the cache point or the exclusion set changes.
-  // Mutable: the digest is a read, the cache an implementation detail.
-  mutable uint64_t digest_cache_ = 0;
-  mutable size_t digest_cached_ops_ = 0;
-  mutable bool digest_cache_valid_ = false;
-  mutable std::vector<std::string> digest_exclude_;
-  // Memoized PairHash per staged op (index-parallel with ops_), so the
-  // digest walk XORs a displaced pair back out without rehashing its bytes.
-  // An entry is written when the walk passes its op; it is only ever read
-  // via prev_index_ at a later index, so stale slots left by a rollback are
-  // overwritten before any read.
-  mutable std::vector<uint64_t> digest_op_hash_;
 };
 
 class LocalStore {

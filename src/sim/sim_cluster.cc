@@ -335,10 +335,8 @@ class SimCluster::Impl {
       config.batching = true;
       // Beacon cadence from SimOptions (default 0 = off): existing schedules
       // must keep producing byte-identical logs, so the production default of
-      // the StackConfig never leaks into a sim run. No heartbeat: an idle-
-      // timer beacon would propose at schedule-independent times.
+      // the StackConfig never leaks into a sim run.
       config.digest_beacon_every = options_.digest_beacon_every;
-      config.digest_beacon_interval_micros = 0;
       BuildStack(server, config);
       return;
     }
@@ -348,10 +346,8 @@ class SimCluster::Impl {
     // Keep the upload worker passive: a mid-run backup bid would propose at
     // schedule-independent times and break run determinism.
     config.backup_segment_size = 1'000'000;
-    // Same determinism rule as the verify branch: sim cadence only, no
-    // heartbeat.
+    // Same determinism rule as the verify branch: sim cadence only.
     config.digest_beacon_every = options_.digest_beacon_every;
-    config.digest_beacon_interval_micros = 0;
     if (options_.shape == StackShape::kFullNine) {
       config.session_order = true;
       config.batching = true;

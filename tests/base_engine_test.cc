@@ -2,6 +2,7 @@
 // coalesced tail checks, exception relay, trim clamping, recovery-by-replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -516,6 +517,58 @@ TEST(BaseEngineTest, ChecksumInvariantAcrossBatchSizes) {
       EXPECT_LT(replica.apply_batches(), replica.apply_records());
     }
     replica.Stop();
+  }
+}
+
+// A record marked with the commit barrier opens its own group commit. The
+// 10-record log is readable at once, so with play_batch_size 128 records 3
+// and 7 cut it into exactly three commits, starting at 1, 3 and 7, in both
+// pipeline modes, and the store ends where a one-record-per-commit replay
+// ends. A barrier on a batch's first record (record 1) adds no commit.
+TEST(BaseEngineTest, CommitBarrierOpensItsOwnGroupCommit) {
+  for (const std::vector<LogPos>& barriers : {std::vector<LogPos>{3, 7}, {1, 3, 7}}) {
+    auto log = std::make_shared<InMemoryLog>();
+    for (LogPos pos = 1; pos <= 10; ++pos) {
+      LogEntry entry = PayloadEntry("r" + std::to_string(pos));
+      if (std::find(barriers.begin(), barriers.end(), pos) != barriers.end()) {
+        MarkCommitBarrier(&entry);
+      }
+      ASSERT_EQ(log->Append(entry.Serialize()).Get(), pos);
+    }
+    // Replays the log; returns the store checksum and the first position of
+    // every commit.
+    const auto replay = [&](LogPos batch_size, int prefetch_batches) {
+      LocalStore store;
+      EchoApplicator app;
+      FlightRecorder recorder(256);
+      BaseEngineOptions options;
+      options.server_id = "replica";
+      options.play_batch_size = batch_size;
+      options.prefetch_batches = prefetch_batches;
+      options.recorder = &recorder;
+      BaseEngine engine(log, &store, options);
+      engine.RegisterUpcall(&app);
+      engine.Start();
+      engine.Sync().Get();
+      EXPECT_EQ(engine.applied_position(), 10u);
+      EXPECT_EQ(engine.apply_records(), 10u);
+      EXPECT_EQ(app.post_applies(), 10);
+      engine.Stop();
+      std::vector<LogPos> commit_starts;
+      for (const FlightRecorder::Event& event : recorder.Snapshot()) {
+        if (event.kind == FlightEventKind::kCommit) {
+          commit_starts.push_back(event.a);
+        }
+      }
+      return std::make_pair(store.Checksum(), commit_starts);
+    };
+    const auto [want, solo_commits] = replay(1, 0);
+    EXPECT_EQ(solo_commits.size(), 10u);
+    for (const int prefetch_batches : {0, 8}) {
+      const auto [checksum, commits] = replay(128, prefetch_batches);
+      EXPECT_EQ(commits, (std::vector<LogPos>{1, 3, 7})) << "prefetch=" << prefetch_batches;
+      EXPECT_EQ(checksum, want) << "prefetch=" << prefetch_batches;
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 // enable/disable, takeover, and the clock-skew safety property).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
 #include <thread>
 
 #include "src/core/base_engine.h"
@@ -119,6 +121,40 @@ TEST(TimeEngineTest, TimedTrimmerReleasesPrefix) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(log->trim_prefix(), 5u);
+}
+
+// Countdowns share one thread per engine: 32 pending timers add at most one
+// thread, and every one of them still fires once the simulated clock passes
+// its deadline.
+TEST(TimeEngineTest, TimersShareOneCountdownThread) {
+  const auto thread_count = [] {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                         std::filesystem::directory_iterator());
+  };
+  auto log = std::make_shared<InMemoryLog>();
+  SimClock clock(1'000'000);
+  TimeServer a("a", log, /*quorum=*/1, &clock);
+  const auto threads_before = thread_count();
+  for (int i = 0; i < 32; ++i) {
+    a.time->CreateTimer("t" + std::to_string(i), /*duration_micros=*/1000 * (32 - i)).Get();
+  }
+  EXPECT_LE(thread_count(), threads_before + 1);
+  EXPECT_FALSE(a.time->IsFired("t31"));
+
+  clock.Advance(100'000);
+  const auto fired = [&] {
+    int count = 0;
+    for (int i = 0; i < 32; ++i) {
+      count += a.time->IsFired("t" + std::to_string(i)) ? 1 : 0;
+    }
+    return count;
+  };
+  const int64_t deadline = RealClock::Instance()->NowMicros() + 5'000'000;
+  while (fired() < 32 && RealClock::Instance()->NowMicros() < deadline) {
+    a.base->Sync().Get();
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(fired(), 32);
 }
 
 // --- LeaseEngine ---
