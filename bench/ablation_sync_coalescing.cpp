@@ -1,10 +1,12 @@
 // Ablation: sync coalescing (§3.2).
 //
 // "For high throughput, the BaseEngine queues multiple sync calls behind a
-// single outstanding tail check on the log." With a tail check costing a
-// simulated quorum round trip, we drive N concurrent read clients and report
-// achieved syncs/s versus the number of tail checks actually issued — the
-// coalescing ratio is the win.
+// single outstanding tail check on the log." The BaseEngine keeps up to
+// k = BaseEngine::kMaxTailChecksInFlight checks in flight instead of one.
+// With a tail check costing a simulated quorum round trip, we drive N
+// concurrent read clients and report achieved syncs/s versus the number of
+// tail checks actually issued — the coalescing ratio is the win — and the
+// check rate against its bound of k per RTT.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -49,14 +51,18 @@ class NoopApplicator : public IApplicator {
 
 int main() {
   PrintBanner("Ablation: sync (tail-check) coalescing",
-              "many concurrent syncs share one outstanding tail check; throughput scales "
-              "while tail checks stay near 1/RTT");
+              "concurrent syncs share up to k outstanding tail checks; throughput scales "
+              "while tail checks stay bounded at k per RTT");
 
+  constexpr int64_t kTailCheckMicros = 2000;  // simulated quorum round trip
+  const double bound = BaseEngine::kMaxTailChecksInFlight * 1e6 / kTailCheckMicros;
+  std::printf("k = %d tail checks in flight, bound %.0f checks/s\n",
+              BaseEngine::kMaxTailChecksInFlight, bound);
   std::printf("%10s %14s %16s %18s %12s\n", "clients", "syncs/s", "tail checks/s",
               "syncs per check", "p99(us)");
   for (const int clients : {1, 4, 16, 64}) {
     DelayedLog::Delays delays;
-    delays.tail_check_micros = 2000;  // simulated quorum round trip
+    delays.tail_check_micros = kTailCheckMicros;
     auto counting = std::make_shared<CountingLog>(
         std::make_shared<DelayedLog>(std::make_shared<InMemoryLog>(), delays));
     LocalStore store;
@@ -79,7 +85,7 @@ int main() {
     base.Stop();
   }
   std::printf("\nRESULT: sync throughput scales with clients while the tail-check rate stays\n"
-              "pinned near 1/RTT — the coalescing trick the BaseEngine borrows from other\n"
-              "SMR systems (§3.2).\n");
+              "bounded at k per RTT — the coalescing trick the BaseEngine borrows from other\n"
+              "SMR systems (§3.2), with k checks pipelined instead of one.\n");
   return 0;
 }

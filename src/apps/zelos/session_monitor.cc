@@ -1,6 +1,7 @@
 #include "src/apps/zelos/session_monitor.h"
 
 #include "src/common/logging.h"
+#include "src/common/thread_name.h"
 
 namespace delos::zelos {
 
@@ -9,7 +10,10 @@ SessionMonitor::SessionMonitor(ZelosClient* client, LocalStore* store, Options o
       store_(store),
       options_(options),
       clock_(options.clock != nullptr ? options.clock : RealClock::Instance()) {
-  thread_ = std::thread([this] { MonitorLoop(); });
+  thread_ = std::thread([this] {
+    SetCurrentThreadName("session-monitor");
+    MonitorLoop();
+  });
 }
 
 SessionMonitor::~SessionMonitor() {

@@ -12,12 +12,16 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/thread_name.h"
 
 namespace delos {
 
 class TimerScheduler {
  public:
-  TimerScheduler() : thread_([this] { Loop(); }) {}
+  TimerScheduler() : thread_([this] {
+    SetCurrentThreadName("timer-sched");
+    Loop();
+  }) {}
 
   ~TimerScheduler() {
     {

@@ -6,6 +6,7 @@
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/common/serde.h"
+#include "src/common/thread_name.h"
 #include "src/common/workload.h"
 
 namespace delos {
@@ -110,12 +111,24 @@ void BaseEngine::Start() {
     durable_pos_.store(applied_pos_.load(), std::memory_order_release);
   }
   last_progress_micros_.store(options_.clock->NowMicros(), std::memory_order_relaxed);
-  apply_thread_ = std::thread([this] { ApplyThreadMain(); });
+  apply_thread_ = std::thread([this] {
+    SetCurrentThreadName("apply");
+    ApplyThreadMain();
+  });
   if (options_.prefetch_batches > 0) {
-    prefetch_thread_ = std::thread([this] { PrefetchThreadMain(); });
+    prefetch_thread_ = std::thread([this] {
+      SetCurrentThreadName("prefetch");
+      PrefetchThreadMain();
+    });
   }
-  sync_thread_ = std::thread([this] { SyncThreadMain(); });
-  housekeeping_thread_ = std::thread([this] { HousekeepingThreadMain(); });
+  sync_thread_ = std::thread([this] {
+    SetCurrentThreadName("sync");
+    SyncThreadMain();
+  });
+  housekeeping_thread_ = std::thread([this] {
+    SetCurrentThreadName("housekeeping");
+    HousekeepingThreadMain();
+  });
 }
 
 void BaseEngine::Stop() {
@@ -143,7 +156,7 @@ void BaseEngine::Stop() {
   }
   // Drain in-flight append and tail-check continuations before touching
   // pending_: a Propose that raced this Stop, or the sync thread's last tail
-  // check, may still have a callback running inside the shared log, and it
+  // checks, may still have a callback running inside the shared log, and it
   // dereferences `this`. Runs on every Stop() call (the destructor calls
   // Stop again) so the object never dies under a live callback.
   while (inflight_callbacks_.load(std::memory_order_acquire) != 0) {
@@ -243,9 +256,9 @@ Future<ROTxn> BaseEngine::Sync() {
   bool wake;
   {
     std::lock_guard<std::mutex> lock(sync_mu_);
-    // While a tail check is in flight the sync thread cannot serve this
-    // sync before the check returns, and that wakes it anyway.
-    wake = sync_waiters_.empty() && !tail_check_in_flight_;
+    // While every check slot is taken the sync thread cannot serve this
+    // sync before a check returns, and that wakes it anyway.
+    wake = sync_waiters_.empty() && tail_checks_in_flight_ < kMaxTailChecksInFlight;
     sync_waiters_.push_back(std::move(promise));
   }
   if (wake) {
@@ -707,18 +720,21 @@ size_t BaseEngine::ApplyBatch(std::span<const LogRecord> records) {
   return outcomes.size();
 }
 
-// Pipelined syncs (§3.2: syncs queue behind a single outstanding tail
-// check). The thread issues a tail check for every sync queued so far; the
-// check's continuation hands the tail back, and the group it served parks
-// under its play target. A parked group settles here with one snapshot once
-// applied_pos_ reaches its target. Groups that are ready settle before the
-// next check goes out, so their callers' next syncs can still join it; the
-// syncs queued meanwhile get that check at once, while earlier groups wait
-// for the apply thread.
+// Pipelined syncs (§3.2: syncs queue behind an outstanding tail check).
+// The thread keeps up to kMaxTailChecksInFlight checks in flight; each one
+// it issues serves every sync queued so far, so a sync is always served by
+// a check issued after it arrived. A check's continuation hands the tail
+// back, in whatever order the checks return, and the group it served parks
+// under its own play target. A parked group settles here with one snapshot
+// once applied_pos_ reaches its target. Groups that are ready settle before
+// the next check goes out, so their callers' next syncs can still join it;
+// the syncs queued meanwhile get a check as soon as a slot is free, while
+// earlier groups wait for the apply thread.
 void BaseEngine::SyncThreadMain() {
   constexpr LogPos kNothingParked = std::numeric_limits<LogPos>::max();
-  // The syncs the tail check in flight serves.
-  std::vector<Promise<ROTxn>> checking;
+  uint64_t next_check_id = 0;
+  // The syncs each tail check in flight serves, by check id.
+  std::map<uint64_t, std::vector<Promise<ROTxn>>> checking;
   // Syncs whose tail check returned, by play target.
   std::map<LogPos, std::vector<Promise<ROTxn>>> parked;
   std::unique_lock<std::mutex> lock(sync_mu_);
@@ -726,34 +742,38 @@ void BaseEngine::SyncThreadMain() {
     sync_cv_.wait(lock, [&] {
       const LogPos wake_at = parked.empty() ? kNothingParked : parked.begin()->first;
       sync_wake_at_.store(wake_at);
-      return shutdown_.load() || tail_result_.has_value() ||
-             (!tail_check_in_flight_ && !sync_waiters_.empty()) || applied_pos_.load() >= wake_at;
+      return shutdown_.load() || !tail_results_.empty() ||
+             (tail_checks_in_flight_ < kMaxTailChecksInFlight && !sync_waiters_.empty()) ||
+             applied_pos_.load() >= wake_at;
     });
     if (shutdown_.load()) {
       break;
     }
-    if (tail_result_.has_value()) {
-      Result<LogPos> result = *std::move(tail_result_);
-      tail_result_.reset();
-      tail_check_in_flight_ = false;
-      std::vector<Promise<ROTxn>> served = std::move(checking);
-      checking.clear();
-      if (!result.ok()) {
-        lock.unlock();
-        for (auto& waiter : served) {
-          waiter.SetException(result.error());
+    if (!tail_results_.empty()) {
+      std::vector<std::pair<uint64_t, Result<LogPos>>> results;
+      results.swap(tail_results_);
+      tail_checks_in_flight_ -= static_cast<int>(results.size());
+      LogPos highest = 0;
+      for (auto& [id, result] : results) {
+        auto served = checking.extract(id);
+        if (!result.ok()) {
+          lock.unlock();
+          for (auto& waiter : served.mapped()) {
+            waiter.SetException(result.error());
+          }
+          lock.lock();
+          continue;
         }
-        lock.lock();
-        continue;
+        const LogPos tail = result.value();
+        const LogPos target = (tail == 0) ? 0 : tail - 1;
+        std::vector<Promise<ROTxn>>& group = parked[target];
+        group.insert(group.end(), std::make_move_iterator(served.mapped().begin()),
+                     std::make_move_iterator(served.mapped().end()));
+        highest = std::max(highest, target);
       }
-      const LogPos tail = result.value();
-      const LogPos target = (tail == 0) ? 0 : tail - 1;
-      std::vector<Promise<ROTxn>>& group = parked[target];
-      group.insert(group.end(), std::make_move_iterator(served.begin()),
-                   std::make_move_iterator(served.end()));
-      if (target > 0) {
+      if (highest > 0) {
         lock.unlock();
-        RequestPlayTo(target);
+        RequestPlayTo(highest);
         lock.lock();
       }
     }
@@ -773,15 +793,16 @@ void BaseEngine::SyncThreadMain() {
       }
       lock.lock();
     }
-    if (!tail_check_in_flight_ && !sync_waiters_.empty()) {
-      checking.swap(sync_waiters_);
-      tail_check_in_flight_ = true;
+    if (tail_checks_in_flight_ < kMaxTailChecksInFlight && !sync_waiters_.empty()) {
+      const uint64_t id = next_check_id++;
+      checking[id].swap(sync_waiters_);
+      ++tail_checks_in_flight_;
       inflight_callbacks_.fetch_add(1, std::memory_order_acq_rel);
       lock.unlock();
-      log_->CheckTail().Then([this](Result<LogPos> result) {
+      log_->CheckTail().Then([this, id](Result<LogPos> result) {
         {
           std::lock_guard<std::mutex> guard(sync_mu_);
-          tail_result_.emplace(std::move(result));
+          tail_results_.emplace_back(id, std::move(result));
         }
         sync_cv_.notify_one();
         inflight_callbacks_.fetch_sub(1, std::memory_order_acq_rel);
@@ -790,13 +811,15 @@ void BaseEngine::SyncThreadMain() {
     }
   }
   lock.unlock();
-  for (auto& [target, group] : parked) {
-    checking.insert(checking.end(), std::make_move_iterator(group.begin()),
-                    std::make_move_iterator(group.end()));
-  }
-  for (auto& waiter : checking) {
-    waiter.SetException(std::make_exception_ptr(LogUnavailableError("engine stopped")));
-  }
+  const auto fail_all = [](auto& groups) {
+    for (auto& [key, group] : groups) {
+      for (auto& waiter : group) {
+        waiter.SetException(std::make_exception_ptr(LogUnavailableError("engine stopped")));
+      }
+    }
+  };
+  fail_all(checking);
+  fail_all(parked);
 }
 
 void BaseEngine::HousekeepingThreadMain() {

@@ -5,8 +5,10 @@
 //    future completes with the local Apply's return value — a replicated RPC
 //    that is durable (append committed), failure-atomic (applied inside a
 //    LocalStore transaction), and linearizable (ordered by the log).
-//  * Sync checks the log tail and plays forward to it; multiple syncs
-//    coalesce behind a single outstanding tail check. Tail checks are
+//  * Sync checks the log tail and plays forward to it; the syncs queued
+//    while no check slot is free coalesce behind the next tail check. Up
+//    to kMaxTailChecksInFlight checks are in flight at once, and each
+//    serves only syncs that arrived before it was issued. Tail checks are
 //    pipelined: once a check returns target T, the syncs it served park
 //    until applied_position() reaches T, and the syncs queued meanwhile get
 //    the next check without waiting for the apply thread. The sync thread
@@ -48,7 +50,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -152,6 +153,14 @@ class BaseEngine : public IEngine, public IHealthCheckable {
   // housekeeping threads. The upcall chain must be registered first.
   void Start();
   void Stop();
+
+  // Tail checks the sync thread keeps in flight at most. §3.2 keeps one;
+  // with k, a sync that arrives while checks are out waits ~RTT/(2k) for
+  // the next one instead of ~RTT/2 plus a full RTT, and checks still go
+  // out at no more than k per round trip whatever the number of callers.
+  // 4 cut read latency further but raised a saturated closed loop's write
+  // latency (EXPERIMENTS.md, "Pipelined tail checks").
+  static constexpr int kMaxTailChecksInFlight = 2;
 
   Future<std::any> Propose(LogEntry entry) override;
   Future<ROTxn> Sync() override;
@@ -298,10 +307,11 @@ class BaseEngine : public IEngine, public IHealthCheckable {
   std::condition_variable sync_cv_;
   // Syncs waiting for the next tail check.
   std::vector<Promise<ROTxn>> sync_waiters_;
-  // Whether a tail check is in flight (§3.2 allows one), and its outcome,
-  // stored by its continuation for the sync thread.
-  bool tail_check_in_flight_ = false;
-  std::optional<Result<LogPos>> tail_result_;
+  // Tail checks in flight (at most kMaxTailChecksInFlight), and the
+  // outcomes their continuations stored for the sync thread, by check id,
+  // in the order they returned.
+  int tail_checks_in_flight_ = 0;
+  std::vector<std::pair<uint64_t, Result<LogPos>>> tail_results_;
   // The lowest play target a parked sync group waits for (max when none is
   // parked). The apply thread wakes the sync thread once it publishes a
   // position at or above it.

@@ -5,6 +5,7 @@
 
 #include "src/common/json.h"
 #include "src/common/metrics.h"
+#include "src/common/thread_name.h"
 #include "src/common/trace.h"
 #include "src/common/metrics_ts.h"
 
@@ -151,7 +152,10 @@ void Watchdog::Start() {
   }
   stop_requested_ = false;
   running_ = true;
-  thread_ = std::thread([this] { ThreadMain(); });
+  thread_ = std::thread([this] {
+    SetCurrentThreadName("watchdog");
+    ThreadMain();
+  });
 }
 
 void Watchdog::Stop() {

@@ -2,6 +2,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/serde.h"
+#include "src/common/thread_name.h"
 
 namespace delos {
 
@@ -41,7 +42,10 @@ LeaseEngine::LeaseEngine(Options options, IEngine* downstream, LocalStore* store
       options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : RealClock::Instance()) {
   if (options_.auto_renew) {
-    renew_thread_ = std::thread([this] { RenewLoopMain(); });
+    renew_thread_ = std::thread([this] {
+      SetCurrentThreadName("lease-renew");
+      RenewLoopMain();
+    });
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/serde.h"
+#include "src/common/thread_name.h"
 
 namespace delos {
 
@@ -76,7 +77,10 @@ LogBackupEngine::LogBackupEngine(Options options, IEngine* downstream, LocalStor
   backed_prefix_.store(CompletedSegments(store->Snapshot(), space()) * options_.segment_size,
                        std::memory_order_release);
   SetOwnTrimOpinion(backed_prefix_.load(std::memory_order_relaxed));
-  upload_worker_ = std::thread([this] { UploadWorkerMain(); });
+  upload_worker_ = std::thread([this] {
+    SetCurrentThreadName("backup-upload");
+    UploadWorkerMain();
+  });
 }
 
 LogBackupEngine::~LogBackupEngine() {

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "src/common/serde.h"
+#include "src/common/thread_name.h"
 
 namespace delos {
 
@@ -185,7 +186,10 @@ void TimeEngine::PostApplyControl(const EngineHeader& header, const LogEntry& en
       std::lock_guard<std::mutex> lock(countdown_mu_);
       deadlines_.emplace(deadline, carry.created_id);
       if (!countdown_thread_.joinable()) {
-        countdown_thread_ = std::thread([this] { CountdownMain(); });
+        countdown_thread_ = std::thread([this] {
+          SetCurrentThreadName("time-countdown");
+          CountdownMain();
+        });
       }
     }
     countdown_cv_.notify_one();

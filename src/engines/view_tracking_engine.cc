@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/serde.h"
+#include "src/common/thread_name.h"
 
 namespace delos {
 
@@ -36,7 +37,10 @@ ViewTrackingEngine::ViewTrackingEngine(Options options, IEngine* downstream, Loc
       options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : RealClock::Instance()) {
   if (options_.heartbeat_interval_micros > 0) {
-    heartbeat_thread_ = std::thread([this] { HeartbeatLoopMain(); });
+    heartbeat_thread_ = std::thread([this] {
+      SetCurrentThreadName("vt-heartbeat");
+      HeartbeatLoopMain();
+    });
   }
 }
 

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "src/common/json.h"
+#include "src/common/thread_name.h"
 #include "src/engines/digest_engine.h"
 
 namespace delos {
@@ -310,7 +311,10 @@ bool AdminServer::Start() {
     port_ = ntohs(addr.sin_port);
   }
   shutdown_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { ServeLoopMain(); });
+  thread_ = std::thread([this] {
+    SetCurrentThreadName("admin");
+    ServeLoopMain();
+  });
   return true;
 }
 

@@ -4,6 +4,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/errors.h"
+#include "src/common/thread_name.h"
 
 namespace delos {
 
@@ -16,7 +17,10 @@ std::pair<NodeId, NodeId> OrderedPair(const NodeId& a, const NodeId& b) {
 }  // namespace
 
 SimNetwork::SimNetwork(NetworkConfig config) : config_(config), rng_(config.seed) {
-  delivery_thread_ = std::thread([this] { DeliveryLoop(); });
+  delivery_thread_ = std::thread([this] {
+    SetCurrentThreadName("net-delivery");
+    DeliveryLoop();
+  });
 }
 
 SimNetwork::~SimNetwork() {
@@ -26,18 +30,21 @@ SimNetwork::~SimNetwork() {
   }
   cv_.notify_all();
   delivery_thread_.join();
-  // Undelivered events own pending calls whose promises break when dropped,
-  // and their continuations may call again (a sequencer retransmitting a
-  // store). Drop them while every member is still alive; calls fail fast
-  // once shut down, so each chain ends within its caller's retry budget.
+  // Undelivered events and timeouts own pending calls whose promises break
+  // when dropped, and their continuations may call again (a sequencer
+  // retransmitting a store). Drop them while every member is still alive;
+  // calls fail fast once shut down, so each chain ends within its caller's
+  // retry budget.
   while (true) {
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>> undelivered;
+    std::deque<Timeout> unexpired;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (events_.empty()) {
+      if (events_.empty() && timeouts_.empty()) {
         break;
       }
       undelivered.swap(events_);
+      unexpired.swap(timeouts_);
     }
   }
 }
@@ -53,7 +60,7 @@ void SimNetwork::RegisterHandler(const NodeId& node, Handler handler) {
 
 void SimNetwork::RegisterAsyncHandler(const NodeId& node, AsyncHandler handler) {
   std::lock_guard<std::mutex> lock(mu_);
-  handlers_[node] = std::move(handler);
+  handlers_[node] = std::make_shared<const AsyncHandler>(std::move(handler));
   down_nodes_.erase(node);
 }
 
@@ -122,14 +129,15 @@ Future<std::string> SimNetwork::Call(const NodeId& from, const NodeId& to,
   }
   const uint64_t request_index = ++message_count_;
 
-  // Timeout covers drops, partitions, and down nodes uniformly.
-  ScheduleLocked(config_.call_timeout_micros, [call, to, method] {
-    if (!call->done) {
-      call->done = true;
-      call->promise.SetException(std::make_exception_ptr(
-          LogUnavailableError("rpc timeout: " + to + "/" + method)));
-    }
-  });
+  // Timeout covers drops, partitions, and down nodes uniformly. The
+  // delivery loop sleeps without a deadline only while the heap and the
+  // queue are both empty; otherwise it already waits for an earlier due
+  // time than this one.
+  if (events_.empty() && timeouts_.empty()) {
+    cv_.notify_all();
+  }
+  timeouts_.push_back(Timeout{RealClock::Instance()->NowMicros() + config_.call_timeout_micros,
+                              next_sequence_++, call, to, method});
 
   if (!LinkOpenLocked(from, to)) {
     return future;  // Dropped on the request path; the timeout will fire.
@@ -140,7 +148,7 @@ Future<std::string> SimNetwork::Call(const NodeId& from, const NodeId& to,
 
   const int64_t request_latency = LatencyLocked();
   ScheduleLocked(request_latency, [this, call, from, to, method, request = std::move(request)] {
-    AsyncHandler handler;
+    std::shared_ptr<const AsyncHandler> handler;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (down_nodes_.count(to) != 0) {
@@ -169,7 +177,7 @@ Future<std::string> SimNetwork::Call(const NodeId& from, const NodeId& to,
         }
       });
     };
-    handler(from, method, request, std::move(reply_fn));
+    (*handler)(from, method, request, std::move(reply_fn));
   });
   return future;
 }
@@ -186,17 +194,37 @@ void SimNetwork::DeliveryLoop() {
     if (shutdown_) {
       return;
     }
-    if (events_.empty()) {
-      cv_.wait(lock, [&] { return shutdown_ || !events_.empty(); });
+    while (!timeouts_.empty() && timeouts_.front().call->done) {
+      timeouts_.pop_front();
+    }
+    if (events_.empty() && timeouts_.empty()) {
+      cv_.wait(lock, [&] { return shutdown_ || !events_.empty() || !timeouts_.empty(); });
       continue;
     }
+    // The earlier of the heap's top and the oldest timeout, by (due,
+    // sequence): the order one heap holding both would give.
+    const bool timeout_next =
+        !timeouts_.empty() &&
+        (events_.empty() ||
+         std::tie(timeouts_.front().due_micros, timeouts_.front().sequence) <
+             std::tie(events_.top().due_micros, events_.top().sequence));
+    const int64_t due = timeout_next ? timeouts_.front().due_micros : events_.top().due_micros;
     const int64_t now = RealClock::Instance()->NowMicros();
-    const Event& next = events_.top();
-    if (next.due_micros > now) {
-      cv_.wait_for(lock, std::chrono::microseconds(next.due_micros - now));
+    if (due > now) {
+      cv_.wait_for(lock, std::chrono::microseconds(due - now));
       continue;
     }
-    auto action = std::move(const_cast<Event&>(next).action);
+    if (timeout_next) {
+      Timeout timeout = std::move(timeouts_.front());
+      timeouts_.pop_front();
+      lock.unlock();
+      timeout.call->done = true;
+      timeout.call->promise.SetException(std::make_exception_ptr(
+          LogUnavailableError("rpc timeout: " + timeout.to + "/" + timeout.method)));
+      lock.lock();
+      continue;
+    }
+    auto action = std::move(const_cast<Event&>(events_.top()).action);
     events_.pop();
     lock.unlock();
     action();

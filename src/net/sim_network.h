@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -102,7 +103,19 @@ class SimNetwork {
 
   struct PendingCall {
     Promise<std::string> promise;
-    bool done = false;
+    bool done = false;  // delivery thread only, once the call is scheduled
+  };
+
+  // A call's timeout. Every call shares call_timeout_micros, so timeouts
+  // fall due in the order they were scheduled: they queue FIFO beside the
+  // event heap, and a settled call's timeout leaves as soon as it reaches
+  // the front.
+  struct Timeout {
+    int64_t due_micros;
+    uint64_t sequence;  // drawn from the events' sequence
+    std::shared_ptr<PendingCall> call;
+    NodeId to;
+    std::string method;
   };
 
   void DeliveryLoop();
@@ -114,7 +127,9 @@ class SimNetwork {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
-  std::map<NodeId, AsyncHandler> handlers_;
+  std::deque<Timeout> timeouts_;
+  // Shared so that a delivery copies a pointer, not the handler's closure.
+  std::map<NodeId, std::shared_ptr<const AsyncHandler>> handlers_;
   std::set<NodeId> down_nodes_;
   std::set<std::pair<NodeId, NodeId>> partitions_;
   FaultHook fault_hook_;

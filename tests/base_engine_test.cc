@@ -7,7 +7,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <mutex>
+#include <optional>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "src/core/base_engine.h"
@@ -117,6 +122,98 @@ class InFlightTailLog : public ISharedLog {
   std::atomic<int> completed_{0};
   std::atomic<int> in_flight_{0};
   std::atomic<int> max_in_flight_{0};
+};
+
+// Log wrapper whose tail checks stay in flight until the test releases
+// them, in any order. A check reads the inner log's tail when it is issued.
+// Once ReleaseAll() runs, held and later checks complete at once.
+class GatedTailLog : public ISharedLog {
+ public:
+  explicit GatedTailLog(std::shared_ptr<ISharedLog> inner) : inner_(std::move(inner)) {}
+  Future<LogPos> Append(std::string payload) override { return inner_->Append(std::move(payload)); }
+  Future<LogPos> CheckTail() override {
+    Future<LogPos> tail = inner_->CheckTail();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!open_) {
+        Promise<LogPos> promise;
+        Future<LogPos> held = promise.GetFuture();
+        checks_.push_back(Check{tail, std::move(promise)});
+        ++in_flight_;
+        max_in_flight_ = std::max(max_in_flight_, in_flight_);
+        cv_.notify_all();
+        return held;
+      }
+      checks_.emplace_back();
+    }
+    cv_.notify_all();
+    return tail;
+  }
+  std::vector<LogRecord> ReadRange(LogPos lo, LogPos hi) override {
+    return inner_->ReadRange(lo, hi);
+  }
+  void Trim(LogPos prefix) override { inner_->Trim(prefix); }
+  LogPos trim_prefix() const override { return inner_->trim_prefix(); }
+  void Seal() override { inner_->Seal(); }
+
+  // Waits up to two seconds until `n` checks have been issued in all.
+  bool WaitForStarted(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(2), [&] { return checks_.size() >= n; });
+  }
+  // Completes the `index`-th check issued (0-based) with the tail it read.
+  void Release(size_t index) {
+    std::optional<Check> check;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (index < checks_.size() && checks_[index].has_value()) {
+        check.swap(checks_[index]);
+        --in_flight_;
+      }
+    }
+    if (check.has_value()) {
+      check->promise.SetValue(check->tail.Get());
+    }
+  }
+  void ReleaseAll() {
+    size_t issued;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+      issued = checks_.size();
+    }
+    for (size_t i = 0; i < issued; ++i) {
+      Release(i);
+    }
+  }
+  size_t started() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return checks_.size();
+  }
+  int max_in_flight() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_in_flight_;
+  }
+
+ private:
+  struct Check {
+    Future<LogPos> tail;
+    Promise<LogPos> promise;
+  };
+  std::shared_ptr<ISharedLog> inner_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::optional<Check>> checks_;
+  int in_flight_ = 0;
+  int max_in_flight_ = 0;
+  bool open_ = false;
+};
+
+// Releases every held tail check when the test returns, so an engine's
+// Stop() never waits on a check the test left in flight.
+struct ReleaseOnExit {
+  GatedTailLog* log;
+  ~ReleaseOnExit() { log->ReleaseAll(); }
 };
 
 // Applicator whose apply of the payload "block" waits until Release().
@@ -282,8 +379,9 @@ TEST(BaseEngineTest, SyncsCoalesceBehindOneTailCheck) {
 }
 
 // Pipelined syncs: while the first sync's group waits for an apply the app
-// holds up, a second sync gets its own tail check at once. Never more than
-// one tail check is in flight.
+// holds up, a second sync gets its own tail check at once. The second sync
+// starts only after the first check returns, so one check is in flight at
+// a time here.
 TEST(BaseEngineTest, TailCheckPipelinesPastTheApplyWait) {
   auto log = std::make_shared<InFlightTailLog>(std::make_shared<InMemoryLog>());
   LocalStore store;
@@ -333,6 +431,168 @@ TEST(BaseEngineTest, StopFailsParkedSyncs) {
   EXPECT_THROW(second.GetFor(kSettleTimeout), LogUnavailableError);
   app.Release();
   stopper.join();
+}
+
+// The tail-check window: a sync issued while a check is in flight gets its
+// own check before the first one returns.
+TEST(BaseEngineTest, SyncDuringATailCheckStartsItsOwnCheck) {
+  auto log = std::make_shared<GatedTailLog>(std::make_shared<InMemoryLog>());
+  LocalStore store;
+  EchoApplicator app;
+  BaseEngine engine(log, &store, BaseEngineOptions{});
+  engine.RegisterUpcall(&app);
+  engine.Start();
+  ReleaseOnExit release{log.get()};
+
+  Future<ROTxn> first = engine.Sync();
+  ASSERT_TRUE(log->WaitForStarted(1));
+  Future<ROTxn> second = engine.Sync();
+  ASSERT_TRUE(log->WaitForStarted(2));
+  EXPECT_EQ(log->max_in_flight(), 2);
+  EXPECT_FALSE(first.IsReady());
+  EXPECT_FALSE(second.IsReady());
+
+  log->Release(1);
+  EXPECT_TRUE(second.GetFor(kSettleTimeout).has_value());
+  EXPECT_FALSE(first.IsReady());
+  log->Release(0);
+  EXPECT_TRUE(first.GetFor(kSettleTimeout).has_value());
+  engine.Stop();
+}
+
+// Syncs issued one by one fill the window to exactly kMaxTailChecksInFlight
+// checks. The syncs that arrive while it is full share the next free slot,
+// and every sync is served.
+TEST(BaseEngineTest, TailCheckWindowFillsToItsBound) {
+  constexpr int kWindow = BaseEngine::kMaxTailChecksInFlight;
+  auto log = std::make_shared<GatedTailLog>(std::make_shared<InMemoryLog>());
+  LocalStore store;
+  EchoApplicator app;
+  BaseEngine engine(log, &store, BaseEngineOptions{});
+  engine.RegisterUpcall(&app);
+  engine.Start();
+  ReleaseOnExit release{log.get()};
+
+  std::vector<Future<ROTxn>> syncs;
+  for (int i = 0; i < kWindow; ++i) {
+    syncs.push_back(engine.Sync());
+    ASSERT_TRUE(log->WaitForStarted(i + 1));
+  }
+  constexpr int kQueued = 3;
+  for (int i = 0; i < kQueued; ++i) {
+    syncs.push_back(engine.Sync());
+  }
+  log->Release(0);
+  ASSERT_TRUE(log->WaitForStarted(kWindow + 1));
+  log->ReleaseAll();
+  for (auto& sync : syncs) {
+    EXPECT_TRUE(sync.GetFor(kSettleTimeout).has_value());
+  }
+  EXPECT_EQ(log->started(), static_cast<size_t>(kWindow + 1));
+  EXPECT_EQ(log->max_in_flight(), kWindow);
+  engine.Stop();
+}
+
+// Checks that return in reverse order each serve their own syncs: every
+// sync's snapshot holds each write that completed before the sync was
+// called. The writes come from another replica, so the reader applies only
+// as far as its tail checks ask.
+TEST(BaseEngineTest, TailChecksReturningInReverseServeTheirOwnSyncs) {
+  constexpr int kWindow = BaseEngine::kMaxTailChecksInFlight;
+  auto inner = std::make_shared<InMemoryLog>();
+  auto log = std::make_shared<GatedTailLog>(inner);
+  LocalStore writer_store;
+  LocalStore reader_store;
+  EchoApplicator writer_app;
+  EchoApplicator reader_app;
+  BaseEngineOptions writer_options;
+  writer_options.server_id = "writer";
+  BaseEngineOptions reader_options;
+  reader_options.server_id = "reader";
+  BaseEngine writer(inner, &writer_store, writer_options);
+  BaseEngine reader(log, &reader_store, reader_options);
+  writer.RegisterUpcall(&writer_app);
+  reader.RegisterUpcall(&reader_app);
+  writer.Start();
+  reader.Start();
+  ReleaseOnExit release{log.get()};
+
+  std::vector<Future<ROTxn>> syncs;
+  for (int i = 1; i <= kWindow; ++i) {
+    writer.Propose(PayloadEntry("w" + std::to_string(i))).Get();
+    syncs.push_back(reader.Sync());
+    ASSERT_TRUE(log->WaitForStarted(i));
+  }
+  for (int i = kWindow - 1; i >= 0; --i) {
+    log->Release(i);
+    auto snapshot = syncs[i].GetFor(kSettleTimeout);
+    ASSERT_TRUE(snapshot.has_value()) << "sync " << i;
+    for (int w = 1; w <= i + 1; ++w) {
+      EXPECT_EQ(snapshot->Get("applied/" + std::to_string(w)).value_or(""),
+                "w" + std::to_string(w))
+          << "sync " << i;
+    }
+    for (int earlier = 0; earlier < i; ++earlier) {
+      EXPECT_FALSE(syncs[earlier].IsReady()) << "sync " << earlier;
+    }
+  }
+  reader.Stop();
+  writer.Stop();
+}
+
+// Stop() with a full window fails every sync: those whose checks are in
+// flight, and the one queued behind them.
+TEST(BaseEngineTest, StopFailsEverySyncInAFullWindow) {
+  constexpr int kWindow = BaseEngine::kMaxTailChecksInFlight;
+  auto log = std::make_shared<GatedTailLog>(std::make_shared<InMemoryLog>());
+  LocalStore store;
+  EchoApplicator app;
+  BaseEngine engine(log, &store, BaseEngineOptions{});
+  engine.RegisterUpcall(&app);
+  engine.Start();
+  ReleaseOnExit release{log.get()};
+
+  std::vector<Future<ROTxn>> checking;
+  for (int i = 0; i < kWindow; ++i) {
+    checking.push_back(engine.Sync());
+    ASSERT_TRUE(log->WaitForStarted(i + 1));
+  }
+  Future<ROTxn> queued = engine.Sync();
+
+  // Stop() waits for the checks' continuations, so it runs on its own
+  // thread while the checks are still held.
+  std::thread stopper([&] { engine.Stop(); });
+  for (auto& sync : checking) {
+    EXPECT_THROW(sync.GetFor(kSettleTimeout), LogUnavailableError);
+  }
+  log->ReleaseAll();
+  stopper.join();
+  EXPECT_THROW(queued.GetFor(kSettleTimeout), LogUnavailableError);
+}
+
+// The engine names its long-lived threads.
+TEST(BaseEngineTest, StartedEngineNamesItsThreads) {
+  auto log = std::make_shared<InMemoryLog>();
+  LocalStore store;
+  EchoApplicator app;
+  BaseEngine engine(log, &store, BaseEngineOptions{});
+  engine.RegisterUpcall(&app);
+  engine.Start();
+  // A completed propose and sync mean both threads have run.
+  engine.Propose(PayloadEntry("w1")).Get();
+  engine.Sync().Get();
+
+  std::set<std::string> names;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) {
+      names.insert(name);
+    }
+  }
+  EXPECT_EQ(names.count("apply"), 1u);
+  EXPECT_EQ(names.count("sync"), 1u);
+  engine.Stop();
 }
 
 TEST(BaseEngineTest, DeterministicExceptionRelayedAndRolledBack) {

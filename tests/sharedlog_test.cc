@@ -3,7 +3,10 @@
 // and the chaos wrappers.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/errors.h"
 #include "src/net/sim_network.h"
@@ -49,6 +52,45 @@ TEST(SimNetworkTest, DownNodeTimesOut) {
   EXPECT_THROW(net.Call("cli", "srv", "m", "").Get(), LogUnavailableError);
   net.SetNodeUp("srv", true);
   EXPECT_EQ(net.Call("cli", "srv", "m", "").Get(), "ok");
+}
+
+// Call timeouts queue FIFO beside the event heap. After many completed
+// calls, a lost call still times out on schedule, and no completed call's
+// timeout fires into its future.
+TEST(SimNetworkTest, TimeoutFiresAfterManyCompletedCalls) {
+  NetworkConfig config;
+  config.default_one_way_latency_micros = 10;
+  config.call_timeout_micros = 50'000;
+  SimNetwork net(config);
+  net.RegisterHandler("srv", [](const NodeId&, const std::string&, const std::string& req) {
+    return req;
+  });
+  net.RegisterHandler("down", [](const NodeId&, const std::string&, const std::string&) {
+    return std::string("unreachable");
+  });
+  net.SetNodeUp("down", false);
+
+  constexpr int kCalls = 1000;
+  constexpr int kConcurrent = 50;
+  std::vector<std::atomic<int>> settled(kCalls);
+  for (int first = 0; first < kCalls; first += kConcurrent) {
+    std::vector<Future<std::string>> futures;
+    for (int i = first; i < first + kConcurrent; ++i) {
+      futures.push_back(net.Call("cli", "srv", "m", std::to_string(i)));
+      futures.back().Then([&settled, i](const Result<std::string>&) { settled[i].fetch_add(1); });
+    }
+    for (int i = first; i < first + kConcurrent; ++i) {
+      EXPECT_EQ(futures[i - first].Get(), std::to_string(i));
+    }
+  }
+
+  const int64_t start = RealClock::Instance()->NowMicros();
+  EXPECT_THROW(net.Call("cli", "down", "m", "").Get(), LogUnavailableError);
+  EXPECT_GE(RealClock::Instance()->NowMicros() - start, config.call_timeout_micros);
+  // Every completed call's timeout was due before the lost call's.
+  for (int i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(settled[i].load(), 1) << "call " << i;
+  }
 }
 
 TEST(SimNetworkTest, PartitionBlocksBothWays) {
